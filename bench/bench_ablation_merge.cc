@@ -14,15 +14,16 @@
 namespace ppdbscan {
 namespace {
 
-Labels Combine(const HorizontalPartition& hp, const TwoPartyOutcome& out,
-               bool merged) {
+Labels Combine(const HorizontalPartition& hp,
+               const std::vector<RunOutcome>& out, bool merged) {
   Labels combined(hp.alice_ids.size() + hp.bob_ids.size(), kUnclassified);
-  int32_t offset = merged ? 0 : static_cast<int32_t>(out.alice.num_clusters);
+  int32_t offset =
+      merged ? 0 : static_cast<int32_t>(out[0].clustering.num_clusters);
   for (size_t i = 0; i < hp.alice_ids.size(); ++i) {
-    combined[hp.alice_ids[i]] = out.alice.labels[i];
+    combined[hp.alice_ids[i]] = out[0].clustering.labels[i];
   }
   for (size_t i = 0; i < hp.bob_ids.size(); ++i) {
-    int32_t l = out.bob.labels[i];
+    int32_t l = out[1].clustering.labels[i];
     combined[hp.bob_ids[i]] = l >= 0 ? l + offset : l;
   }
   return combined;
@@ -61,29 +62,26 @@ void Run(bool csv) {
     HorizontalPartition hp{std::move(alice), std::move(bob),
                            std::move(alice_ids), std::move(bob_ids)};
 
-    ExecutionConfig config = bench_util::FastCrypto();
-    config.protocol.params = params;
-    config.protocol.comparator.kind = ComparatorKind::kIdeal;
-    config.protocol.comparator.magnitude_bound =
-        RecommendedComparatorBound(2, 1 << 12);
-    Result<TwoPartyOutcome> plain = ExecuteHorizontal(hp.alice, hp.bob,
-                                                      config);
-    PPD_CHECK(plain.ok());
-    config.protocol.cross_party_merge = true;
-    Result<TwoPartyOutcome> merged = ExecuteHorizontal(hp.alice, hp.bob,
-                                                       config);
-    PPD_CHECK(merged.ok());
+    ProtocolOptions options;
+    options.params = params;
+    options.comparator.kind = ComparatorKind::kIdeal;
+    options.comparator.magnitude_bound = RecommendedComparatorBound(2, 1 << 12);
+    std::vector<RunOutcome> plain = bench_util::RunPair(
+        PartitionScheme::kHorizontal, hp.alice, hp.bob, options);
+    options.cross_party_merge = true;
+    std::vector<RunOutcome> merged = bench_util::RunPair(
+        PartitionScheme::kHorizontal, hp.alice, hp.bob, options);
 
     table.AddRow(
         {ResultTable::Fmt(static_cast<uint64_t>(bridge)),
-         ResultTable::Fmt(AdjustedRandIndex(Combine(hp, *plain, false),
+         ResultTable::Fmt(AdjustedRandIndex(Combine(hp, plain, false),
                                             central.labels)),
-         ResultTable::Fmt(AdjustedRandIndex(Combine(hp, *merged, true),
+         ResultTable::Fmt(AdjustedRandIndex(Combine(hp, merged, true),
                                             central.labels)),
-         ResultTable::Fmt(merged->alice_disclosures.Count("merge_links")),
-         ResultTable::Fmt(plain->alice.num_clusters +
-                          plain->bob.num_clusters),
-         ResultTable::Fmt(merged->alice.num_clusters),
+         ResultTable::Fmt(merged[0].disclosures.Count("merge_links")),
+         ResultTable::Fmt(plain[0].clustering.num_clusters +
+                          plain[1].clustering.num_clusters),
+         ResultTable::Fmt(merged[0].clustering.num_clusters),
          ResultTable::Fmt(central.num_clusters)});
   }
   bench_util::Emit(table, csv,

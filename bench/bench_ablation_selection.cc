@@ -13,16 +13,15 @@ namespace {
 
 uint64_t MeasureComparisons(const HorizontalPartition& hp, size_t min_pts,
                             SelectionAlgorithm selection) {
-  ExecutionConfig config = bench_util::FastCrypto();
-  config.protocol.params = {.eps_squared = 23, .min_pts = min_pts};
-  config.protocol.mode = HorizontalMode::kEnhanced;
-  config.protocol.selection = selection;
-  config.protocol.comparator.kind = ComparatorKind::kIdeal;
-  config.protocol.comparator.magnitude_bound =
-      RecommendedComparatorBound(2, 64);
-  Result<TwoPartyOutcome> out = ExecuteHorizontal(hp.alice, hp.bob, config);
-  PPD_CHECK(out.ok());
-  return out->alice_selection_comparisons + out->bob_selection_comparisons;
+  ProtocolOptions options;
+  options.params = {.eps_squared = 23, .min_pts = min_pts};
+  options.mode = HorizontalMode::kEnhanced;
+  options.selection = selection;
+  options.comparator.kind = ComparatorKind::kIdeal;
+  options.comparator.magnitude_bound = RecommendedComparatorBound(2, 64);
+  std::vector<RunOutcome> out = bench_util::RunPair(
+      PartitionScheme::kHorizontal, hp.alice, hp.bob, options);
+  return out[0].selection_comparisons + out[1].selection_comparisons;
 }
 
 void Run(bool csv) {

@@ -47,14 +47,14 @@ std::vector<Workload> MakeWorkloads() {
 }
 
 Labels CombineHorizontal(const HorizontalPartition& hp,
-                         const TwoPartyOutcome& outcome) {
+                         const std::vector<RunOutcome>& outcome) {
   Labels combined(hp.alice_ids.size() + hp.bob_ids.size(), kUnclassified);
-  int32_t offset = static_cast<int32_t>(outcome.alice.num_clusters);
+  int32_t offset = static_cast<int32_t>(outcome[0].clustering.num_clusters);
   for (size_t i = 0; i < hp.alice_ids.size(); ++i) {
-    combined[hp.alice_ids[i]] = outcome.alice.labels[i];
+    combined[hp.alice_ids[i]] = outcome[0].clustering.labels[i];
   }
   for (size_t i = 0; i < hp.bob_ids.size(); ++i) {
-    int32_t l = outcome.bob.labels[i];
+    int32_t l = outcome[1].clustering.labels[i];
     combined[hp.bob_ids[i]] = l >= 0 ? l + offset : l;
   }
   return combined;
@@ -69,21 +69,20 @@ void Run(bool csv) {
     DbscanParams params{*enc.EncodeEpsSquared(w.eps), w.min_pts};
     DbscanResult central = RunDbscan(full, params);
 
-    ExecutionConfig config = bench_util::FastCrypto();
-    config.protocol.params = params;
-    config.protocol.comparator.kind = ComparatorKind::kIdeal;
-    config.protocol.comparator.magnitude_bound =
-        RecommendedComparatorBound(2, 1 << 12);
+    ProtocolOptions options;
+    options.params = params;
+    options.comparator.kind = ComparatorKind::kIdeal;
+    options.comparator.magnitude_bound = RecommendedComparatorBound(2, 1 << 12);
     SecureRng rng(99);
 
     // Horizontal, even split.
     {
       HorizontalPartition hp = *PartitionHorizontal(full, rng, 0.5);
-      Result<TwoPartyOutcome> out = ExecuteHorizontal(hp.alice, hp.bob,
-                                                      config);
-      PPD_CHECK(out.ok());
-      Labels combined = CombineHorizontal(hp, *out);
-      size_t clusters = out->alice.num_clusters + out->bob.num_clusters;
+      std::vector<RunOutcome> out = bench_util::RunPair(
+          PartitionScheme::kHorizontal, hp.alice, hp.bob, options);
+      Labels combined = CombineHorizontal(hp, out);
+      size_t clusters =
+          out[0].clustering.num_clusters + out[1].clustering.num_clusters;
       table.AddRow({w.name, "horizontal (Alg. 3/4)",
                     ResultTable::Fmt(AdjustedRandIndex(combined,
                                                        central.labels)),
@@ -95,27 +94,31 @@ void Run(bool csv) {
     // Vertical.
     {
       VerticalPartition vp = *PartitionVertical(full, 1);
-      Result<TwoPartyOutcome> out = ExecuteVertical(vp, config);
-      PPD_CHECK(out.ok());
+      const PartyClusteringResult alice =
+          bench_util::RunPair(PartitionScheme::kVertical, vp.alice, vp.bob,
+                              options)[0]
+              .clustering;
       table.AddRow({w.name, "vertical (Alg. 5/6)",
-                    ResultTable::Fmt(AdjustedRandIndex(out->alice.labels,
+                    ResultTable::Fmt(AdjustedRandIndex(alice.labels,
                                                        central.labels)),
-                    ResultTable::Fmt(NoiseAgreement(out->alice.labels,
+                    ResultTable::Fmt(NoiseAgreement(alice.labels,
                                                     central.labels)),
-                    ResultTable::Fmt(out->alice.num_clusters) + "/" +
+                    ResultTable::Fmt(alice.num_clusters) + "/" +
                         ResultTable::Fmt(central.num_clusters)});
     }
     // Arbitrary, even cell split.
     {
       ArbitraryPartition ap = *PartitionArbitrary(full, rng, 0.5);
-      Result<TwoPartyOutcome> out = ExecuteArbitrary(ap, config);
-      PPD_CHECK(out.ok());
+      const PartyClusteringResult alice =
+          bench_util::RunPair(PartitionScheme::kArbitrary, ap.alice, ap.bob,
+                              options)[0]
+              .clustering;
       table.AddRow({w.name, "arbitrary (§4.4)",
-                    ResultTable::Fmt(AdjustedRandIndex(out->alice.labels,
+                    ResultTable::Fmt(AdjustedRandIndex(alice.labels,
                                                        central.labels)),
-                    ResultTable::Fmt(NoiseAgreement(out->alice.labels,
+                    ResultTable::Fmt(NoiseAgreement(alice.labels,
                                                     central.labels)),
-                    ResultTable::Fmt(out->alice.num_clusters) + "/" +
+                    ResultTable::Fmt(alice.num_clusters) + "/" +
                         ResultTable::Fmt(central.num_clusters)});
     }
   }
@@ -134,14 +137,13 @@ void Run(bool csv) {
   DbscanResult central = RunDbscan(full, params);
   for (double frac : {0.05, 0.25, 0.5, 0.75, 0.95}) {
     HorizontalPartition hp = *PartitionHorizontal(full, rng, frac);
-    ExecutionConfig config = bench_util::FastCrypto();
-    config.protocol.params = params;
-    config.protocol.comparator.kind = ComparatorKind::kIdeal;
-    config.protocol.comparator.magnitude_bound =
-        RecommendedComparatorBound(2, 1 << 12);
-    Result<TwoPartyOutcome> out = ExecuteHorizontal(hp.alice, hp.bob, config);
-    PPD_CHECK(out.ok());
-    Labels combined = CombineHorizontal(hp, *out);
+    ProtocolOptions options;
+    options.params = params;
+    options.comparator.kind = ComparatorKind::kIdeal;
+    options.comparator.magnitude_bound = RecommendedComparatorBound(2, 1 << 12);
+    Labels combined = CombineHorizontal(
+        hp, bench_util::RunPair(PartitionScheme::kHorizontal, hp.alice, hp.bob,
+                                options));
     skew.AddRow({ResultTable::Fmt(frac, 2),
                  ResultTable::Fmt(AdjustedRandIndex(combined,
                                                     central.labels))});

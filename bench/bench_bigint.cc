@@ -7,7 +7,6 @@
 #include <benchmark/benchmark.h>
 
 #include "bigint/bigint.h"
-#include "bigint/fixed_base.h"
 #include "bigint/kernels.h"
 #include "bigint/montgomery.h"
 #include "bigint/prime.h"
@@ -110,25 +109,6 @@ void BM_ModExpSmallExponent(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ModExpSmallExponent)->Arg(512)->Arg(1024)->Arg(2048);
-
-// Fixed-base exponentiation through the precomputed window table
-// (table build cost excluded — the table amortizes across every Encrypt
-// that shares the base). Compare against BM_ModExp at the same width for
-// the squaring-free speedup.
-void BM_ExpFixedBase(benchmark::State& state) {
-  SecureRng rng(12);
-  const size_t bits = static_cast<size_t>(state.range(0));
-  BigInt mod = BigInt::RandomBits(rng, bits) + BigInt(3);
-  if (mod.IsEven()) mod += BigInt(1);
-  MontgomeryCtx ctx = *MontgomeryCtx::Create(mod);
-  BigInt base = BigInt::RandomBelow(rng, mod);
-  const FixedBaseTable table(ctx, base, bits);
-  BigInt exp = BigInt::RandomBits(rng, bits);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(table.ExpFixedBase(exp));
-  }
-}
-BENCHMARK(BM_ExpFixedBase)->Arg(512)->Arg(1024)->Arg(2048);
 
 // Shared-base batch exponentiation: 8 bases, one shared full-width
 // exponent — the r^n shape in Paillier Encrypt. ns_per_op is for the

@@ -15,22 +15,21 @@ namespace {
 /// Appends one machine-readable record (bytes on the wire for one
 /// protocol configuration) when --json was requested.
 void RecordBytes(std::vector<bench_util::BenchRecord>* records,
-                 const std::string& op, uint64_t bytes,
-                 const ExecutionConfig& config) {
+                 const std::string& op, uint64_t bytes) {
   if (records == nullptr) return;
   bench_util::BenchRecord rec;
   rec.op = op;
   rec.bytes = static_cast<double>(bytes);
   rec.threads = GlobalThreadPool().size();
-  rec.modulus_bits = config.smc.paillier_bits;
+  rec.modulus_bits = bench_util::FastCrypto().paillier_bits;
   records->push_back(std::move(rec));
 }
 
 uint64_t MeasureBytes(const Dataset& alice, const Dataset& bob,
-                      ExecutionConfig config) {
-  Result<TwoPartyOutcome> out = ExecuteHorizontal(alice, bob, config);
-  PPD_CHECK_MSG(out.ok(), out.status().ToString().c_str());
-  return out->alice_stats.total_bytes();
+                      const ProtocolOptions& options) {
+  return bench_util::RunPair(PartitionScheme::kHorizontal, alice, bob,
+                             options)[0]
+      .stats.total_bytes();
 }
 
 HorizontalPartition MakeWorkload(size_t n, size_t dims, double alice_frac,
@@ -43,13 +42,12 @@ HorizontalPartition MakeWorkload(size_t n, size_t dims, double alice_frac,
   return *PartitionHorizontal(full, rng, alice_frac);
 }
 
-ExecutionConfig BlindedConfig() {
-  ExecutionConfig config = bench_util::FastCrypto();
-  config.protocol.params = {.eps_squared = 23, .min_pts = 4};  // eps≈1.2·4
-  config.protocol.comparator.kind = ComparatorKind::kBlindedPaillier;
-  config.protocol.comparator.magnitude_bound =
-      RecommendedComparatorBound(8, 64);
-  return config;
+ProtocolOptions BlindedOptions() {
+  ProtocolOptions options;
+  options.params = {.eps_squared = 23, .min_pts = 4};  // eps≈1.2·4
+  options.comparator.kind = ComparatorKind::kBlindedPaillier;
+  options.comparator.magnitude_bound = RecommendedComparatorBound(8, 64);
+  return options;
 }
 
 void Run(bool csv, bool smoke, std::vector<bench_util::BenchRecord>* records) {
@@ -61,9 +59,8 @@ void Run(bool csv, bool smoke, std::vector<bench_util::BenchRecord>* records) {
     for (size_t n : sweep) {
       HorizontalPartition hp = MakeWorkload(n, 2, 0.5, 17);
       uint64_t pairs = hp.alice.size() * hp.bob.size();
-      ExecutionConfig config = BlindedConfig();
-      uint64_t bytes = MeasureBytes(hp.alice, hp.bob, config);
-      RecordBytes(records, "E2.a_bytes_n" + std::to_string(n), bytes, config);
+      uint64_t bytes = MeasureBytes(hp.alice, hp.bob, BlindedOptions());
+      RecordBytes(records, "E2.a_bytes_n" + std::to_string(n), bytes);
       table.AddRow({ResultTable::Fmt(static_cast<uint64_t>(n)),
                     ResultTable::Fmt(pairs), ResultTable::Fmt(bytes),
                     ResultTable::Fmt(static_cast<double>(bytes) /
@@ -83,9 +80,8 @@ void Run(bool csv, bool smoke, std::vector<bench_util::BenchRecord>* records) {
     ResultTable table({"m", "bytes total", "bytes / m"});
     for (size_t m : {2, 3, 4, 6, 8}) {
       HorizontalPartition hp = MakeWorkload(24, m, 0.5, 18);
-      ExecutionConfig config = BlindedConfig();
-      uint64_t bytes = MeasureBytes(hp.alice, hp.bob, config);
-      RecordBytes(records, "E2.b_bytes_m" + std::to_string(m), bytes, config);
+      uint64_t bytes = MeasureBytes(hp.alice, hp.bob, BlindedOptions());
+      RecordBytes(records, "E2.b_bytes_m" + std::to_string(m), bytes);
       table.AddRow({ResultTable::Fmt(static_cast<uint64_t>(m)),
                     ResultTable::Fmt(bytes),
                     ResultTable::Fmt(static_cast<double>(bytes) / m, 1)});
@@ -101,11 +97,10 @@ void Run(bool csv, bool smoke, std::vector<bench_util::BenchRecord>* records) {
     for (double frac : {0.125, 0.25, 0.5, 0.75}) {
       HorizontalPartition hp = MakeWorkload(32, 2, frac, 19);
       uint64_t pairs = hp.alice.size() * hp.bob.size();
-      ExecutionConfig config = BlindedConfig();
-      uint64_t bytes = MeasureBytes(hp.alice, hp.bob, config);
+      uint64_t bytes = MeasureBytes(hp.alice, hp.bob, BlindedOptions());
       RecordBytes(records,
-                  "E2.c_bytes_frac" + std::to_string(frac).substr(0, 5), bytes,
-                  config);
+                  "E2.c_bytes_frac" + std::to_string(frac).substr(0, 5),
+                  bytes);
       table.AddRow({ResultTable::Fmt(frac, 3), ResultTable::Fmt(pairs),
                     ResultTable::Fmt(bytes)});
     }
@@ -125,13 +120,12 @@ void Run(bool csv, bool smoke, std::vector<bench_util::BenchRecord>* records) {
     PPD_CHECK(bob.Add({0, 1}).ok());
     PPD_CHECK(bob.Add({4, 5}).ok());
     for (int64_t bound : {64, 128, 256, 512}) {
-      ExecutionConfig config = bench_util::FastCrypto();
-      config.protocol.params = {.eps_squared = 2, .min_pts = 2};
-      config.protocol.comparator.kind = ComparatorKind::kYmpp;
-      config.protocol.comparator.magnitude_bound = BigInt(bound);
-      uint64_t bytes = MeasureBytes(alice, bob, config);
-      RecordBytes(records, "E2.d_bytes_B" + std::to_string(bound), bytes,
-                  config);
+      ProtocolOptions options;
+      options.params = {.eps_squared = 2, .min_pts = 2};
+      options.comparator.kind = ComparatorKind::kYmpp;
+      options.comparator.magnitude_bound = BigInt(bound);
+      uint64_t bytes = MeasureBytes(alice, bob, options);
+      RecordBytes(records, "E2.d_bytes_B" + std::to_string(bound), bytes);
       uint64_t n0 = 2 * static_cast<uint64_t>(bound) + 3;
       table.AddRow({ResultTable::Fmt(bound), ResultTable::Fmt(n0),
                     ResultTable::Fmt(bytes),
@@ -159,19 +153,18 @@ void Run(bool csv, bool smoke, std::vector<bench_util::BenchRecord>* records) {
     HorizontalPartition hp = *PartitionHorizontal(full, rng, 0.5);
     for (ComparatorKind kind :
          {ComparatorKind::kBlindedPaillier, ComparatorKind::kYmpp}) {
-      ExecutionConfig config = bench_util::FastCrypto();
-      config.protocol.params = {.eps_squared = *enc.EncodeEpsSquared(1.3),
-                                .min_pts = 3};
-      config.protocol.comparator.kind = kind;
-      config.protocol.comparator.magnitude_bound =
-          RecommendedComparatorBound(2, 64);
-      Result<TwoPartyOutcome> out =
-          ExecuteHorizontal(hp.alice, hp.bob, config);
-      PPD_CHECK(out.ok());
-      const ChannelStats& stats = out->alice_stats;
+      ProtocolOptions options;
+      options.params = {.eps_squared = *enc.EncodeEpsSquared(1.3),
+                        .min_pts = 3};
+      options.comparator.kind = kind;
+      options.comparator.magnitude_bound = RecommendedComparatorBound(2, 64);
+      const ChannelStats stats =
+          bench_util::RunPair(PartitionScheme::kHorizontal, hp.alice, hp.bob,
+                              options)[0]
+              .stats;
       RecordBytes(records,
                   std::string("E2.e_bytes_") + ComparatorKindToString(kind),
-                  stats.total_bytes(), config);
+                  stats.total_bytes());
       table.AddRow({ComparatorKindToString(kind),
                     ResultTable::Fmt(stats.total_bytes()),
                     ResultTable::Fmt(stats.rounds),

@@ -25,14 +25,13 @@ void Run(bool csv) {
     ResultTable table({"n", "n^2", "bytes total", "bytes / n^2"});
     for (size_t n : {8, 12, 16, 24, 32}) {
       VerticalPartition vp = MakeWorkload(n, 23);
-      ExecutionConfig config = bench_util::FastCrypto();
-      config.protocol.params = {.eps_squared = 23, .min_pts = 3};
-      config.protocol.comparator.kind = ComparatorKind::kBlindedPaillier;
-      config.protocol.comparator.magnitude_bound =
-          RecommendedComparatorBound(2, 64);
-      Result<TwoPartyOutcome> out = ExecuteVertical(vp, config);
-      PPD_CHECK(out.ok());
-      uint64_t bytes = out->alice_stats.total_bytes();
+      ProtocolOptions options;
+      options.params = {.eps_squared = 23, .min_pts = 3};
+      options.comparator.kind = ComparatorKind::kBlindedPaillier;
+      options.comparator.magnitude_bound = RecommendedComparatorBound(2, 64);
+      uint64_t bytes = bench_util::RunPair(PartitionScheme::kVertical,
+                                           vp.alice, vp.bob, options)[0]
+                           .stats.total_bytes();
       uint64_t n2 = static_cast<uint64_t>(n) * n;
       table.AddRow({ResultTable::Fmt(static_cast<uint64_t>(n)),
                     ResultTable::Fmt(n2), ResultTable::Fmt(bytes),
@@ -59,14 +58,14 @@ void Run(bool csv) {
     }
     VerticalPartition vp = *PartitionVertical(grid, 1);
     for (int64_t bound : {64, 128, 256, 512}) {
-      ExecutionConfig config = bench_util::FastCrypto();
-      config.protocol.params = {.eps_squared = 8, .min_pts = 2};
-      config.protocol.comparator.kind = ComparatorKind::kYmpp;
-      config.protocol.comparator.magnitude_bound = BigInt(bound);
-      Result<TwoPartyOutcome> out = ExecuteVertical(vp, config);
-      PPD_CHECK(out.ok());
+      ProtocolOptions options;
+      options.params = {.eps_squared = 8, .min_pts = 2};
+      options.comparator.kind = ComparatorKind::kYmpp;
+      options.comparator.magnitude_bound = BigInt(bound);
       uint64_t n0 = 2 * static_cast<uint64_t>(bound) + 3;
-      uint64_t bytes = out->alice_stats.total_bytes();
+      uint64_t bytes = bench_util::RunPair(PartitionScheme::kVertical,
+                                           vp.alice, vp.bob, options)[0]
+                           .stats.total_bytes();
       table.AddRow({ResultTable::Fmt(bound), ResultTable::Fmt(n0),
                     ResultTable::Fmt(bytes),
                     ResultTable::Fmt(static_cast<double>(bytes) /
@@ -84,30 +83,29 @@ void Run(bool csv) {
                        "pruned-pair bits disclosed"});
     for (size_t n : {12, 16, 24, 32}) {
       VerticalPartition vp = MakeWorkload(n, 23);
-      ExecutionConfig config = bench_util::FastCrypto();
-      config.protocol.params = {.eps_squared = 23, .min_pts = 3};
-      config.protocol.comparator.kind = ComparatorKind::kBlindedPaillier;
-      config.protocol.comparator.magnitude_bound =
-          RecommendedComparatorBound(2, 64);
-      Result<TwoPartyOutcome> plain = ExecuteVertical(vp, config);
-      PPD_CHECK(plain.ok());
-      config.protocol.vdp_local_pruning = true;
-      Result<TwoPartyOutcome> pruned = ExecuteVertical(vp, config);
-      PPD_CHECK(pruned.ok());
-      PPD_CHECK(plain->alice.labels == pruned->alice.labels);
+      ProtocolOptions options;
+      options.params = {.eps_squared = 23, .min_pts = 3};
+      options.comparator.kind = ComparatorKind::kBlindedPaillier;
+      options.comparator.magnitude_bound = RecommendedComparatorBound(2, 64);
+      std::vector<RunOutcome> plain = bench_util::RunPair(
+          PartitionScheme::kVertical, vp.alice, vp.bob, options);
+      options.vdp_local_pruning = true;
+      std::vector<RunOutcome> pruned = bench_util::RunPair(
+          PartitionScheme::kVertical, vp.alice, vp.bob, options);
+      PPD_CHECK(plain[0].clustering.labels == pruned[0].clustering.labels);
       uint64_t disclosed = 0;
-      for (int64_t v : pruned->alice_disclosures.values("peer_pruned_count")) {
-        disclosed += static_cast<uint64_t>(v);
+      for (const RunOutcome& party : pruned) {
+        for (int64_t v : party.disclosures.values("peer_pruned_count")) {
+          disclosed += static_cast<uint64_t>(v);
+        }
       }
-      for (int64_t v : pruned->bob_disclosures.values("peer_pruned_count")) {
-        disclosed += static_cast<uint64_t>(v);
-      }
-      double saving =
-          1.0 - static_cast<double>(pruned->alice_stats.total_bytes()) /
-                    static_cast<double>(plain->alice_stats.total_bytes());
+      const uint64_t plain_bytes = plain[0].stats.total_bytes();
+      const uint64_t pruned_bytes = pruned[0].stats.total_bytes();
+      double saving = 1.0 - static_cast<double>(pruned_bytes) /
+                                static_cast<double>(plain_bytes);
       table.AddRow({ResultTable::Fmt(static_cast<uint64_t>(n)),
-                    ResultTable::Fmt(plain->alice_stats.total_bytes()),
-                    ResultTable::Fmt(pruned->alice_stats.total_bytes()),
+                    ResultTable::Fmt(plain_bytes),
+                    ResultTable::Fmt(pruned_bytes),
                     ResultTable::Fmt(100.0 * saving, 1) + "%",
                     ResultTable::Fmt(disclosed)});
     }

@@ -25,41 +25,39 @@ void Run(bool csv) {
     Dataset full = *enc.Encode(raw);
     HorizontalPartition hp = *PartitionHorizontal(full, rng, 0.5);
 
-    ExecutionConfig config = bench_util::FastCrypto();
-    config.protocol.params = {.eps_squared = 23, .min_pts = 4};
-    config.protocol.comparator.kind = ComparatorKind::kBlindedPaillier;
-    config.protocol.comparator.magnitude_bound =
-        RecommendedComparatorBound(2, 64);
+    ProtocolOptions options;
+    options.params = {.eps_squared = 23, .min_pts = 4};
+    options.comparator.kind = ComparatorKind::kBlindedPaillier;
+    options.comparator.magnitude_bound = RecommendedComparatorBound(2, 64);
 
-    Result<TwoPartyOutcome> basic = ExecuteHorizontal(hp.alice, hp.bob,
-                                                      config);
-    PPD_CHECK(basic.ok());
-    config.protocol.mode = HorizontalMode::kEnhanced;
-    Result<TwoPartyOutcome> enhanced =
-        ExecuteHorizontal(hp.alice, hp.bob, config);
-    PPD_CHECK(enhanced.ok());
+    std::vector<RunOutcome> basic = bench_util::RunPair(
+        PartitionScheme::kHorizontal, hp.alice, hp.bob, options);
+    options.mode = HorizontalMode::kEnhanced;
+    std::vector<RunOutcome> enhanced = bench_util::RunPair(
+        PartitionScheme::kHorizontal, hp.alice, hp.bob, options);
 
-    const bool equal = basic->alice.labels == enhanced->alice.labels &&
-                       basic->bob.labels == enhanced->bob.labels;
+    const bool equal =
+        basic[0].clustering.labels == enhanced[0].clustering.labels &&
+        basic[1].clustering.labels == enhanced[1].clustering.labels;
     table.AddRow(
         {ResultTable::Fmt(static_cast<uint64_t>(n)), "basic (Alg. 3/4)",
-         ResultTable::Fmt(basic->alice_stats.total_bytes()),
-         ResultTable::Fmt(basic->alice_stats.rounds),
+         ResultTable::Fmt(basic[0].stats.total_bytes()),
+         ResultTable::Fmt(basic[0].stats.rounds),
          "neighbour count",
          ResultTable::Fmt(
-             basic->alice_disclosures.DistinctValues("peer_neighbor_count")),
+             basic[0].disclosures.DistinctValues("peer_neighbor_count")),
          ResultTable::Fmt(
-             basic->alice_disclosures.EntropyBits("peer_neighbor_count")),
+             basic[0].disclosures.EntropyBits("peer_neighbor_count")),
          equal ? "yes" : "NO"});
     table.AddRow(
         {ResultTable::Fmt(static_cast<uint64_t>(n)), "enhanced (Alg. 7/8)",
-         ResultTable::Fmt(enhanced->alice_stats.total_bytes()),
-         ResultTable::Fmt(enhanced->alice_stats.rounds),
+         ResultTable::Fmt(enhanced[0].stats.total_bytes()),
+         ResultTable::Fmt(enhanced[0].stats.rounds),
          "1 bit",
          ResultTable::Fmt(
-             enhanced->alice_disclosures.DistinctValues("peer_core_bit")),
+             enhanced[0].disclosures.DistinctValues("peer_core_bit")),
          ResultTable::Fmt(
-             enhanced->alice_disclosures.EntropyBits("peer_core_bit")),
+             enhanced[0].disclosures.EntropyBits("peer_core_bit")),
          equal ? "yes" : "NO"});
   }
   bench_util::Emit(table, csv,

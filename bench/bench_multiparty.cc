@@ -1,5 +1,5 @@
 // E8 — multi-party horizontal extension (§1: "the two-party algorithm can
-// be extended to multi-party cases"; core/multiparty.h).
+// be extended to multi-party cases"; core/horizontal.h).
 //
 // With equal shares l = n/P, the pairwise-composition cost is
 //     Σ_d l_d · (n − l_d) = n² · (1 − 1/P)
@@ -9,7 +9,6 @@
 // core test (Theorem 9 applies per link).
 
 #include "bench_util.h"
-#include "core/multiparty.h"
 
 namespace ppdbscan {
 namespace {
@@ -25,9 +24,6 @@ void Run(bool csv) {
   options.params = {.eps_squared = *enc.EncodeEpsSquared(1.4), .min_pts = 3};
   options.comparator.kind = ComparatorKind::kBlindedPaillier;
   options.comparator.magnitude_bound = RecommendedComparatorBound(2, 64);
-  SmcOptions smc;
-  smc.paillier_bits = 256;
-  smc.rsa_bits = 128;
 
   ResultTable table({"parties P", "predicted n^2(1-1/P)", "bytes total",
                      "bytes / predicted", "disclosure events",
@@ -37,17 +33,22 @@ void Run(bool csv) {
     for (size_t i = 0; i < n; ++i) {
       PPD_CHECK(parties[i % p].Add(full.point(i)).ok());
     }
-    Result<MultipartyOutcome> out =
-        ExecuteMultipartyHorizontal(parties, smc, options);
+    std::vector<LocalJob> jobs;
+    for (size_t i = 0; i < p; ++i) {
+      jobs.push_back(
+          {ClusteringJob::Multiparty(parties[i], i, p, options), 0x9bd1 + i});
+    }
+    Result<std::vector<RunOutcome>> out =
+        ExecuteLocal(jobs, bench_util::FastCrypto());
     PPD_CHECK_MSG(out.ok(), out.status().ToString().c_str());
 
-    uint64_t bytes = 0;
-    for (const ChannelStats& s : out->stats) bytes += s.bytes_sent;
     // Every point is core-tested exactly once by its owner, and each test
     // records one peer count per link: n·(P−1) events in total.
+    uint64_t bytes = 0;
     uint64_t disclosures = 0;
-    for (const DisclosureLog& log : out->disclosures) {
-      disclosures += log.Count("peer_neighbor_count");
+    for (const RunOutcome& party : *out) {
+      bytes += party.stats.bytes_sent;
+      disclosures += party.disclosures.Count("peer_neighbor_count");
     }
     double predicted = static_cast<double>(n) * static_cast<double>(n) *
                        (1.0 - 1.0 / static_cast<double>(p));

@@ -62,7 +62,7 @@ std::vector<RunOutcome> RunPlan(const Workload& w, PlanMode mode,
         0xa},
        {ClusteringJob::Horizontal(w.split.bob, PartyRole::kBob, options),
         0xb}},
-      bench_util::FastCrypto().smc);
+      bench_util::FastCrypto());
   PPD_CHECK_MSG(out.ok(), out.status().ToString().c_str());
   return std::move(*out);
 }

@@ -100,11 +100,34 @@ inline void Emit(const ResultTable& table, bool csv, const std::string& title,
 }
 
 /// Default fast-but-real crypto sizes for the experiment harnesses.
-inline ExecutionConfig FastCrypto() {
-  ExecutionConfig config;
-  config.smc.paillier_bits = 256;
-  config.smc.rsa_bits = 128;
-  return config;
+inline SmcOptions FastCrypto() {
+  SmcOptions smc;
+  smc.paillier_bits = 256;
+  smc.rsa_bits = 128;
+  return smc;
+}
+
+/// Runs one two-party job pair in-process through ExecuteLocal (Alice's
+/// rng seeded 0x0a11ce, Bob's 0x0b0b) and returns the outcomes
+/// {alice, bob}. Aborts on failure: every harness input is fixed and valid.
+inline std::vector<RunOutcome> RunPair(PartitionScheme scheme,
+                                       LocalData alice, LocalData bob,
+                                       const ProtocolOptions& options,
+                                       const SmcOptions& smc = FastCrypto()) {
+  std::vector<LocalJob> jobs;
+  jobs.push_back({ClusteringJob{.scheme = scheme,
+                                .data = std::move(alice),
+                                .options = options,
+                                .role = PartyRole::kAlice},
+                  0x0a11ce});
+  jobs.push_back({ClusteringJob{.scheme = scheme,
+                                .data = std::move(bob),
+                                .options = options,
+                                .role = PartyRole::kBob},
+                  0x0b0b});
+  Result<std::vector<RunOutcome>> out = ExecuteLocal(jobs, smc);
+  PPD_CHECK_MSG(out.ok(), out.status().ToString().c_str());
+  return std::move(out).value();
 }
 
 }  // namespace bench_util

@@ -4,7 +4,7 @@
 // sub-protocols (HDP + secure comparison) over its own key exchange, and a
 // scanning hospital's core test sums one private count per peer — so
 // Theorem 9's disclosure bound applies per link and the composition
-// theorem covers the whole run (core/multiparty.h).
+// theorem covers the whole run (core/horizontal.h).
 //
 // The demo shows a phenotype cluster that NO hospital can see alone: each
 // holds too few of its patients for the density threshold, but the

@@ -102,8 +102,6 @@ class MontgomeryCtx {
   };
 
  private:
-  friend class FixedBaseTable;  // shares the raw-limb product machinery
-
   MontgomeryCtx() = default;
 
   // Raw-limb Montgomery product (kernel addmul_1 rows interleaved with

@@ -1,7 +1,7 @@
 #include "core/arbitrary.h"
 
 #include "core/distance_protocols.h"
-#include "core/joint_scan.h"
+#include "core/expand.h"
 #include "core/wire.h"
 #include "net/message.h"
 #include "smc/comparator.h"
@@ -35,7 +35,7 @@ Result<PartyClusteringResult> RunArbitraryDbscan(
 
   const bool is_driver = role == PartyRole::kAlice;
 
-  JointRegionQueryFn query = [&](size_t x) -> Result<std::vector<size_t>> {
+  RegionQueryFn query = [&](size_t x) -> Result<std::vector<size_t>> {
     if (is_driver) {
       ByteWriter announce;
       announce.PutU32(static_cast<uint32_t>(x));
@@ -87,8 +87,12 @@ Result<PartyClusteringResult> RunArbitraryDbscan(
     return neighbours;
   };
 
-  PPD_ASSIGN_OR_RETURN(PartyClusteringResult result,
-                       JointDbscanScan(n, options.params, query));
+  // Lockstep expansion on both sides, as in the vertical protocol.
+  PPD_ASSIGN_OR_RETURN(
+      PartyClusteringResult result,
+      ExpandClusters(n, query, [&](size_t, size_t neighbours) -> Result<bool> {
+        return neighbours >= options.params.min_pts;
+      }));
 
   if (is_driver) {
     PPD_RETURN_IF_ERROR(

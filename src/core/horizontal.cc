@@ -1,10 +1,12 @@
 #include "core/horizontal.h"
 
-#include <deque>
+#include <memory>
+#include <optional>
 #include <set>
 
 #include "core/distance_protocols.h"
 #include "core/enhanced.h"
+#include "core/expand.h"
 #include "core/plan.h"
 #include "core/wire.h"
 #include "dbscan/dbscan.h"
@@ -16,133 +18,262 @@ namespace ppdbscan {
 
 namespace {
 
-/// One core-point decision for the scanning party: local neighbour count
-/// plus the privacy-preserving peer contribution.
-Result<bool> DriverCoreTest(Channel& channel, const SmcSession& session,
-                            SecureComparator& comparator,
-                            const std::vector<int64_t>& point,
-                            size_t own_neighbours,
-                            const ProtocolOptions& options, SecureRng& rng,
-                            DisclosureLog* disclosures,
-                            uint64_t* selection_comparisons) {
-  if (options.mode == HorizontalMode::kBasic) {
-    PPD_RETURN_IF_ERROR(SendMessage(channel, wire::kHzQueryBasic,
-                                    std::vector<uint8_t>()));
-    PPD_ASSIGN_OR_RETURN(
-        size_t peer_count,
-        HdpBatchDriver(channel, session, comparator, point,
-                       options.params.eps_squared, rng));
+/// One pairwise link, from this party's side.
+struct Peer {
+  Channel* channel = nullptr;
+  const SmcSession* session = nullptr;
+  std::unique_ptr<SecureComparator> comparator;
+  /// Disclosed by the plan round (non-exact plans): the peer's record
+  /// count and, under kPrune, its bounding box.
+  uint32_t points = 0;
+  BoundingBox box;
+  /// What this party serves to the peer under a non-exact plan (the band
+  /// against the peer's box, or the sieved subset); empty means the full
+  /// dataset.
+  std::optional<Dataset> view;
+};
+
+/// The plan round of a non-exact plan, over every link: kPlanBounds (mode
+/// byte, record count, bounding box — empty under kSieve), then under
+/// kPrune kPlanBands with the size of the band served to that peer. Each
+/// step sends to every peer before reading from any, so the round is
+/// deadlock-free however the other parties order their links. Everything
+/// received is deliberate plaintext disclosure, mirrored into the
+/// DisclosureLog.
+Status PlanRound(std::vector<Peer>& peers, const Dataset& own,
+                 const ProtocolOptions& options, DisclosureLog* disclosures,
+                 PlanStats* stats) {
+  const PlanMode mode = options.plan.mode;
+  ByteWriter bounds;
+  bounds.PutU8(static_cast<uint8_t>(mode));
+  bounds.PutU32(static_cast<uint32_t>(own.size()));
+  WriteBoundingBox(bounds, mode == PlanMode::kPrune ? ComputeBoundingBox(own)
+                                                    : BoundingBox{});
+  for (Peer& peer : peers) {
+    PPD_RETURN_IF_ERROR(SendMessage(*peer.channel, wire::kPlanBounds, bounds));
+  }
+  for (Peer& peer : peers) {
+    PPD_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
+                         ExpectMessage(*peer.channel, wire::kPlanBounds));
+    ByteReader reader(payload);
+    PPD_ASSIGN_OR_RETURN(uint8_t peer_mode, reader.GetU8());
+    if (peer_mode != static_cast<uint8_t>(mode)) {
+      return Status::DataLoss("plan mode mismatch in plan round");
+    }
+    PPD_ASSIGN_OR_RETURN(peer.points, reader.GetU32());
+    PPD_ASSIGN_OR_RETURN(peer.box, ReadBoundingBox(reader, own.dims()));
+    if (!reader.Done()) return Status::DataLoss("trailing plan round bytes");
     if (disclosures != nullptr) {
-      disclosures->Record("peer_neighbor_count",
-                          static_cast<int64_t>(peer_count));
-    }
-    return own_neighbours + peer_count >= options.params.min_pts;
-  }
-
-  PPD_RETURN_IF_ERROR(SendMessage(channel, wire::kHzQueryEnhanced,
-                                  std::vector<uint8_t>()));
-  int64_t k_star = static_cast<int64_t>(options.params.min_pts) -
-                   static_cast<int64_t>(own_neighbours);
-  uint64_t comparisons = 0;
-  PPD_ASSIGN_OR_RETURN(
-      bool core,
-      EnhancedCoreTestDriver(channel, session, comparator, point, k_star,
-                             options.params.eps_squared, options.selection,
-                             options.share_mask_bits, rng, &comparisons));
-  if (selection_comparisons != nullptr) *selection_comparisons += comparisons;
-  if (disclosures != nullptr) {
-    disclosures->Record("peer_core_bit", core ? 1 : 0);
-  }
-  return core;
-}
-
-/// Algorithm 3/4 (or 7/8) scan over this party's own points. Under the
-/// pruning plan, `boundary` marks the points that can possibly have peer
-/// neighbours; for the rest (interior points) the core decision is made
-/// locally with no protocol round at all — their peer count is provably
-/// zero, so the decision matches exact mode bit for bit. Null boundary
-/// means every point is tested (exact mode).
-Result<PartyClusteringResult> DriverScan(
-    Channel& channel, const SmcSession& session, SecureComparator& comparator,
-    const Dataset& own, const ProtocolOptions& options, SecureRng& rng,
-    DisclosureLog* disclosures, uint64_t* selection_comparisons,
-    const std::vector<bool>* boundary) {
-  PartyClusteringResult result;
-  result.labels.assign(own.size(), kUnclassified);
-  result.is_core.assign(own.size(), false);
-  LinearRegionQuerier local(own);
-  int32_t cluster_id = 0;
-
-  auto core_test = [&](size_t idx,
-                       size_t own_neighbours) -> Result<bool> {
-    if (boundary != nullptr && !(*boundary)[idx]) {
-      return own_neighbours >= options.params.min_pts;
-    }
-    return DriverCoreTest(channel, session, comparator, own.point(idx),
-                          own_neighbours, options, rng, disclosures,
-                          selection_comparisons);
-  };
-
-  for (size_t i = 0; i < own.size(); ++i) {
-    if (result.labels[i] != kUnclassified) continue;
-    std::vector<size_t> seeds = local.Query(i, options.params.eps_squared);
-    PPD_ASSIGN_OR_RETURN(bool core, core_test(i, seeds.size()));
-    if (!core) {
-      result.labels[i] = kNoise;
-      continue;
-    }
-    result.is_core[i] = true;
-    std::deque<size_t> queue;
-    for (size_t s : seeds) {
-      result.labels[s] = cluster_id;
-      if (s != i) queue.push_back(s);
-    }
-    while (!queue.empty()) {
-      size_t current = queue.front();
-      queue.pop_front();
-      std::vector<size_t> neighbourhood =
-          local.Query(current, options.params.eps_squared);
-      PPD_ASSIGN_OR_RETURN(bool current_core,
-                           core_test(current, neighbourhood.size()));
-      if (!current_core) continue;
-      result.is_core[current] = true;
-      for (size_t q : neighbourhood) {
-        if (result.labels[q] == kUnclassified || result.labels[q] == kNoise) {
-          if (result.labels[q] == kUnclassified) queue.push_back(q);
-          result.labels[q] = cluster_id;
-        }
+      disclosures->Record("plan_peer_points",
+                          static_cast<int64_t>(peer.points));
+      for (size_t t = 0; t < peer.box.dims(); ++t) {
+        disclosures->Record("plan_peer_box_coord", peer.box.lo[t]);
+        disclosures->Record("plan_peer_box_coord", peer.box.hi[t]);
       }
     }
-    ++cluster_id;
+    if (stats != nullptr) stats->peer_points += peer.points;
   }
-  result.num_clusters = static_cast<size_t>(cluster_id);
-  PPD_RETURN_IF_ERROR(
-      SendMessage(channel, wire::kHzScanDone, std::vector<uint8_t>()));
+  if (stats != nullptr) {
+    stats->exact_comparisons =
+        static_cast<uint64_t>(own.size()) * stats->peer_points;
+  }
+
+  if (mode == PlanMode::kSieve) {
+    // The subset is fully determined by the public (n, k).
+    const std::vector<size_t> sieved =
+        SievedIndices(own.size(), options.plan.sieve_k);
+    for (Peer& peer : peers) {
+      peer.view = SubsetDataset(own, sieved);
+      if (stats != nullptr) {
+        stats->predicted_comparisons +=
+            static_cast<uint64_t>(sieved.size()) *
+            SievedCount(peer.points, options.plan.sieve_k);
+      }
+    }
+    if (stats != nullptr) {
+      stats->candidate_points = sieved.size();
+      stats->responder_points = sieved.size();
+    }
+    return Status::Ok();
+  }
+
+  // Prune: serve each peer the band against its own box.
+  std::vector<bool> candidate(own.size(), false);
+  for (Peer& peer : peers) {
+    std::vector<size_t> band =
+        PointsWithinEpsOfBox(own, peer.box, options.params.eps_squared);
+    for (size_t i : band) candidate[i] = true;
+    peer.view = SubsetDataset(own, band);
+    ByteWriter bands;
+    bands.PutU32(static_cast<uint32_t>(band.size()));
+    PPD_RETURN_IF_ERROR(SendMessage(*peer.channel, wire::kPlanBands, bands));
+  }
+  for (Peer& peer : peers) {
+    PPD_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
+                         ExpectMessage(*peer.channel, wire::kPlanBands));
+    ByteReader reader(payload);
+    PPD_ASSIGN_OR_RETURN(uint32_t peer_band, reader.GetU32());
+    if (!reader.Done()) return Status::DataLoss("trailing plan band bytes");
+    if (disclosures != nullptr) {
+      disclosures->Record("plan_peer_band", static_cast<int64_t>(peer_band));
+    }
+    if (stats != nullptr) {
+      stats->responder_points += peer.view->size();
+      // Each own point within Eps of the peer's box queries it exactly
+      // once in basic mode, against the peer's band toward us.
+      stats->predicted_comparisons +=
+          static_cast<uint64_t>(peer.view->size()) * peer_band;
+    }
+  }
+  if (stats != nullptr) {
+    uint64_t candidates = 0;
+    for (bool c : candidate) candidates += c ? 1 : 0;
+    stats->candidate_points = candidates;
+    stats->interior_points = own.size() - candidates;
+  }
+  return Status::Ok();
+}
+
+/// One core-point decision for the scanning party: `own_count` plus the
+/// peers' counts, each scaled by `scale` (1, or the sieve stride k when
+/// the peers answer over their 1-in-k subsets). Under kPrune a peer whose
+/// box is farther than Eps from the point is skipped: its count is
+/// provably zero. Enhanced mode (two parties only) asks the §5 test
+/// whether the peer holds at least ceil((MinPts − own_count)/scale)
+/// points within Eps, and learns only that bit.
+Result<bool> CoreTest(std::vector<Peer>& peers,
+                      const std::vector<int64_t>& point, size_t own_count,
+                      uint32_t scale, const ProtocolOptions& options,
+                      SecureRng& rng, DisclosureLog* disclosures,
+                      uint64_t* selection_comparisons) {
+  const int64_t eps_squared = options.params.eps_squared;
+  size_t peer_total = 0;
+  for (Peer& peer : peers) {
+    if (options.plan.mode == PlanMode::kPrune &&
+        DistanceSquaredToBox(point, peer.box) > eps_squared) {
+      continue;
+    }
+    if (options.mode == HorizontalMode::kEnhanced) {
+      PPD_RETURN_IF_ERROR(SendMessage(*peer.channel, wire::kHzQueryEnhanced,
+                                      std::vector<uint8_t>()));
+      const int64_t deficit = static_cast<int64_t>(options.params.min_pts) -
+                              static_cast<int64_t>(own_count);
+      const int64_t k_star =
+          deficit > 0 ? (deficit + scale - 1) / static_cast<int64_t>(scale)
+                      : deficit;
+      uint64_t comparisons = 0;
+      PPD_ASSIGN_OR_RETURN(
+          bool core,
+          EnhancedCoreTestDriver(*peer.channel, *peer.session,
+                                 *peer.comparator, point, k_star, eps_squared,
+                                 options.selection, options.share_mask_bits,
+                                 rng, &comparisons));
+      if (selection_comparisons != nullptr) {
+        *selection_comparisons += comparisons;
+      }
+      if (disclosures != nullptr) {
+        disclosures->Record("peer_core_bit", core ? 1 : 0);
+      }
+      return core;
+    }
+    PPD_RETURN_IF_ERROR(SendMessage(*peer.channel, wire::kHzQueryBasic,
+                                    std::vector<uint8_t>()));
+    PPD_ASSIGN_OR_RETURN(
+        size_t count,
+        HdpBatchDriver(*peer.channel, *peer.session, *peer.comparator, point,
+                       eps_squared, rng));
+    if (disclosures != nullptr) {
+      disclosures->Record("peer_neighbor_count", static_cast<int64_t>(count));
+    }
+    peer_total += count;
+  }
+  return own_count + size_t{scale} * peer_total >= options.params.min_pts;
+}
+
+/// This party's turn to scan its own points — the expansion skeleton, or
+/// the sieve engine under kSieve — then kHzScanDone to every peer.
+Result<PartyClusteringResult> DriverScan(std::vector<Peer>& peers,
+                                         const Dataset& own,
+                                         const ProtocolOptions& options,
+                                         SecureRng& rng,
+                                         DisclosureLog* disclosures,
+                                         uint64_t* selection_comparisons,
+                                         PlanStats* stats) {
+  Result<PartyClusteringResult> result = Status::Internal("unreached");
+  if (options.plan.mode == PlanMode::kSieve) {
+    const uint32_t k = options.plan.sieve_k;
+    SievePeerHooks hooks;
+    hooks.core_test = [&](const std::vector<int64_t>& point,
+                          size_t own_full) {
+      return CoreTest(peers, point, own_full, k, options, rng, disclosures,
+                      selection_comparisons);
+    };
+    hooks.membership = [&](const std::vector<std::vector<int64_t>>& queries)
+        -> Result<std::vector<size_t>> {
+      std::vector<size_t> totals(queries.size(), 0);
+      for (Peer& peer : peers) {
+        PPD_RETURN_IF_ERROR(SendMessage(*peer.channel,
+                                        wire::kHzQueryMembership,
+                                        std::vector<uint8_t>()));
+        PPD_ASSIGN_OR_RETURN(
+            std::vector<size_t> counts,
+            MembershipBatchDriver(*peer.channel, *peer.session,
+                                  *peer.comparator, queries,
+                                  options.params.eps_squared, rng));
+        for (size_t q = 0; q < counts.size(); ++q) {
+          totals[q] += counts[q];
+          if (disclosures != nullptr) {
+            disclosures->Record("membership_count",
+                                static_cast<int64_t>(counts[q]));
+          }
+        }
+      }
+      return totals;
+    };
+    result = RunSievePlan(own, options.params, k, hooks, stats);
+  } else {
+    LinearRegionQuerier local(own);
+    result = ExpandClusters(
+        own.size(),
+        [&](size_t idx) -> Result<std::vector<size_t>> {
+          return local.Query(idx, options.params.eps_squared);
+        },
+        [&](size_t idx, size_t neighbours) {
+          return CoreTest(peers, own.point(idx), neighbours, 1, options, rng,
+                          disclosures, selection_comparisons);
+        });
+  }
+  PPD_RETURN_IF_ERROR(result.status());
+  for (Peer& peer : peers) {
+    PPD_RETURN_IF_ERROR(SendMessage(*peer.channel, wire::kHzScanDone,
+                                    std::vector<uint8_t>()));
+  }
   return result;
 }
 
-/// Serves the peer's scan. `own` is this party's plan view — the full
-/// dataset in exact mode, the boundary band or sieved subset otherwise.
-Status ResponderLoop(Channel& channel, const SmcSession& session,
-                     SecureComparator& comparator, const Dataset& own,
-                     const ProtocolOptions& options, SecureRng& rng) {
+/// Serves one peer's scan: answers kHzQueryBasic / kHzQueryEnhanced /
+/// kHzQueryMembership over `own` (this party's view for that peer) until
+/// the peer sends kHzScanDone.
+Status ServeScan(Peer& peer, const Dataset& own,
+                 const ProtocolOptions& options, SecureRng& rng) {
   while (true) {
-    PPD_ASSIGN_OR_RETURN(Message msg, RecvMessage(channel));
+    PPD_ASSIGN_OR_RETURN(Message msg, RecvMessage(*peer.channel));
     switch (msg.type) {
       case wire::kHzQueryBasic:
-        PPD_RETURN_IF_ERROR(
-            HdpBatchResponder(channel, session, comparator, own, rng));
+        PPD_RETURN_IF_ERROR(HdpBatchResponder(
+            *peer.channel, *peer.session, *peer.comparator, own, rng));
         break;
       case wire::kHzQueryEnhanced:
         PPD_RETURN_IF_ERROR(EnhancedCoreTestResponder(
-            channel, session, comparator, own, options.share_mask_bits, rng));
+            *peer.channel, *peer.session, *peer.comparator, own,
+            options.share_mask_bits, rng));
         break;
       case wire::kHzQueryMembership: {
         std::vector<std::vector<int64_t>> points;
         points.reserve(own.size());
         for (size_t i = 0; i < own.size(); ++i) points.push_back(own.point(i));
-        PPD_RETURN_IF_ERROR(MembershipBatchResponder(channel, session,
-                                                     comparator, points, rng));
+        PPD_RETURN_IF_ERROR(MembershipBatchResponder(
+            *peer.channel, *peer.session, *peer.comparator, points, rng));
         break;
       }
       case wire::kHzScanDone:
@@ -153,197 +284,6 @@ Status ResponderLoop(Channel& channel, const SmcSession& session,
         return Status::DataLoss("unexpected message in responder loop");
     }
   }
-}
-
-}  // namespace
-
-Status ServeHorizontalScan(Channel& channel, const SmcSession& session,
-                           SecureComparator& comparator, const Dataset& own,
-                           const ProtocolOptions& options, SecureRng& rng) {
-  return ResponderLoop(channel, session, comparator, own, options, rng);
-}
-
-namespace {
-
-/// What the two-party plan negotiation round produced.
-struct TwoPartyPlan {
-  /// Prune: per own point, whether it can have peer neighbours at all.
-  std::vector<bool> boundary;
-  /// The view this party exposes when responding (band or sieved subset).
-  Dataset serve_view{1};
-  uint32_t peer_count = 0;
-  uint64_t peer_band = 0;  // prune: size of the peer's serve view
-};
-
-/// Runs the plan round for a non-exact plan: both parties exchange
-/// kPlanBounds (mode byte, record count, bounding box — empty under
-/// kSieve), and under kPrune additionally kPlanBands with their boundary
-/// band sizes. Everything sent here is deliberate plaintext disclosure,
-/// mirrored into the DisclosureLog. Symmetric: both parties send first,
-/// then read (channels buffer, as in session establishment).
-Result<TwoPartyPlan> NegotiateTwoPartyPlan(Channel& channel,
-                                           const Dataset& own,
-                                           const ProtocolOptions& options,
-                                           DisclosureLog* disclosures,
-                                           PlanStats* stats) {
-  const PlanMode mode = options.plan.mode;
-  TwoPartyPlan plan;
-
-  ByteWriter bounds;
-  bounds.PutU8(static_cast<uint8_t>(mode));
-  bounds.PutU32(static_cast<uint32_t>(own.size()));
-  BoundingBox own_box;
-  if (mode == PlanMode::kPrune) own_box = ComputeBoundingBox(own);
-  WriteBoundingBox(bounds, own_box);
-  PPD_RETURN_IF_ERROR(SendMessage(channel, wire::kPlanBounds, bounds));
-
-  PPD_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
-                       ExpectMessage(channel, wire::kPlanBounds));
-  ByteReader reader(payload);
-  PPD_ASSIGN_OR_RETURN(uint8_t peer_mode, reader.GetU8());
-  if (peer_mode != static_cast<uint8_t>(mode)) {
-    return Status::DataLoss("plan mode mismatch in plan round");
-  }
-  PPD_ASSIGN_OR_RETURN(plan.peer_count, reader.GetU32());
-  PPD_ASSIGN_OR_RETURN(BoundingBox peer_box,
-                       ReadBoundingBox(reader, own.dims()));
-  if (!reader.Done()) return Status::DataLoss("trailing plan round bytes");
-  if (disclosures != nullptr) {
-    disclosures->Record("plan_peer_points",
-                        static_cast<int64_t>(plan.peer_count));
-  }
-  if (stats != nullptr) stats->peer_points = plan.peer_count;
-
-  if (mode == PlanMode::kPrune) {
-    if (disclosures != nullptr) {
-      for (size_t t = 0; t < peer_box.dims(); ++t) {
-        disclosures->Record("plan_peer_box_coord", peer_box.lo[t]);
-        disclosures->Record("plan_peer_box_coord", peer_box.hi[t]);
-      }
-    }
-    GridRegionQuerier grid(own, options.params.eps_squared);
-    std::vector<size_t> band =
-        grid.PointsWithinEpsOfBox(peer_box, options.params.eps_squared);
-    plan.boundary.assign(own.size(), false);
-    for (size_t i : band) plan.boundary[i] = true;
-
-    ByteWriter bands;
-    bands.PutU32(static_cast<uint32_t>(band.size()));
-    PPD_RETURN_IF_ERROR(SendMessage(channel, wire::kPlanBands, bands));
-    PPD_ASSIGN_OR_RETURN(std::vector<uint8_t> band_payload,
-                         ExpectMessage(channel, wire::kPlanBands));
-    ByteReader band_reader(band_payload);
-    PPD_ASSIGN_OR_RETURN(uint32_t peer_band, band_reader.GetU32());
-    if (!band_reader.Done()) {
-      return Status::DataLoss("trailing plan band bytes");
-    }
-    plan.peer_band = peer_band;
-    if (disclosures != nullptr) {
-      disclosures->Record("plan_peer_band", static_cast<int64_t>(peer_band));
-    }
-    plan.serve_view = SubsetDataset(own, band);
-    if (stats != nullptr) {
-      stats->candidate_points = band.size();
-      stats->interior_points = own.size() - band.size();
-      stats->responder_points = band.size();
-      stats->exact_comparisons =
-          static_cast<uint64_t>(own.size()) * plan.peer_count;
-      stats->predicted_comparisons =
-          static_cast<uint64_t>(band.size()) * plan.peer_band;
-    }
-    return plan;
-  }
-
-  // Sieve: the subset is fully determined by the public (n, k).
-  std::vector<size_t> sieved =
-      SievedIndices(own.size(), options.plan.sieve_k);
-  plan.serve_view = SubsetDataset(own, sieved);
-  if (stats != nullptr) {
-    stats->candidate_points = sieved.size();
-    stats->responder_points = sieved.size();
-    stats->exact_comparisons =
-        static_cast<uint64_t>(own.size()) * plan.peer_count;
-    stats->predicted_comparisons =
-        static_cast<uint64_t>(sieved.size()) *
-        SievedCount(plan.peer_count, options.plan.sieve_k);
-  }
-  return plan;
-}
-
-/// Sieve-mode driver phase: binds the two-party protocol rounds into the
-/// peer-agnostic sieve engine (core/plan.h) and signals kHzScanDone when
-/// the engine — including its rescue round — has finished.
-Result<PartyClusteringResult> SieveDriverScan(
-    Channel& channel, const SmcSession& session, SecureComparator& comparator,
-    const Dataset& own, const ProtocolOptions& options, SecureRng& rng,
-    DisclosureLog* disclosures, uint64_t* selection_comparisons,
-    PlanStats* stats) {
-  const uint32_t k = options.plan.sieve_k;
-
-  SievePeerHooks hooks;
-  hooks.core_test = [&](const std::vector<int64_t>& point,
-                        size_t own_full) -> Result<bool> {
-    if (options.mode == HorizontalMode::kBasic) {
-      PPD_RETURN_IF_ERROR(SendMessage(channel, wire::kHzQueryBasic,
-                                      std::vector<uint8_t>()));
-      PPD_ASSIGN_OR_RETURN(
-          size_t peer_count,
-          HdpBatchDriver(channel, session, comparator, point,
-                         options.params.eps_squared, rng));
-      if (disclosures != nullptr) {
-        disclosures->Record("peer_neighbor_count",
-                            static_cast<int64_t>(peer_count));
-      }
-      return own_full + size_t{k} * peer_count >= options.params.min_pts;
-    }
-    PPD_RETURN_IF_ERROR(SendMessage(channel, wire::kHzQueryEnhanced,
-                                    std::vector<uint8_t>()));
-    // own_full + k·peer >= MinPts  ⟺  peer >= ceil((MinPts − own_full)/k):
-    // the §5 test asks whether the peer's k*-th smallest distance is within
-    // Eps, so the deficit is divided by the sieve stride.
-    const int64_t deficit = static_cast<int64_t>(options.params.min_pts) -
-                            static_cast<int64_t>(own_full);
-    const int64_t k_star =
-        deficit > 0 ? (deficit + k - 1) / static_cast<int64_t>(k) : deficit;
-    uint64_t comparisons = 0;
-    PPD_ASSIGN_OR_RETURN(
-        bool core,
-        EnhancedCoreTestDriver(channel, session, comparator, point, k_star,
-                               options.params.eps_squared, options.selection,
-                               options.share_mask_bits, rng, &comparisons));
-    if (selection_comparisons != nullptr) {
-      *selection_comparisons += comparisons;
-    }
-    if (disclosures != nullptr) {
-      disclosures->Record("peer_core_bit", core ? 1 : 0);
-    }
-    return core;
-  };
-  hooks.membership = [&](const std::vector<std::vector<int64_t>>& queries)
-      -> Result<std::vector<size_t>> {
-    PPD_RETURN_IF_ERROR(SendMessage(channel, wire::kHzQueryMembership,
-                                    std::vector<uint8_t>()));
-    PPD_ASSIGN_OR_RETURN(
-        std::vector<size_t> counts,
-        MembershipBatchDriver(channel, session, comparator, queries,
-                              options.params.eps_squared, rng));
-    if (disclosures != nullptr) {
-      for (size_t c : counts) {
-        disclosures->Record("membership_count", static_cast<int64_t>(c));
-      }
-    }
-    return counts;
-  };
-
-  PPD_ASSIGN_OR_RETURN(DbscanResult sieved,
-                       RunSievePlan(own, options.params, k, hooks, stats));
-  PPD_RETURN_IF_ERROR(
-      SendMessage(channel, wire::kHzScanDone, std::vector<uint8_t>()));
-  PartyClusteringResult result;
-  result.labels = std::move(sieved.labels);
-  result.is_core = std::move(sieved.is_core);
-  result.num_clusters = sieved.num_clusters;
-  return result;
 }
 
 /// Disjoint-set union for the merge relabeling.
@@ -388,18 +328,27 @@ void RelabelAfterMerge(size_t num_alice, size_t num_bob,
   result->num_clusters = static_cast<size_t>(next);
 }
 
+/// Every cluster is opened by a core point, so a peer claiming more
+/// clusters than cores is lying — and would size the relabeling's
+/// union-find from an unchecked count.
+Status CheckMergeCounts(uint32_t cores, uint32_t clusters) {
+  if (clusters > cores) {
+    return Status::DataLoss("merge claims more clusters than core points");
+  }
+  return Status::Ok();
+}
+
 /// E7 extension: cross-party cluster linking via core-core adjacency.
-Status MergePhase(Channel& channel, const SmcSession& session,
-                  SecureComparator& comparator, const Dataset& own,
-                  PartyRole role, const ProtocolOptions& options,
-                  SecureRng& rng, DisclosureLog* disclosures,
-                  PartyClusteringResult* result) {
+Status MergePhase(Peer& peer, const Dataset& own, bool is_alice,
+                  const ProtocolOptions& options, SecureRng& rng,
+                  DisclosureLog* disclosures, PartyClusteringResult* result) {
+  Channel& channel = *peer.channel;
   std::vector<size_t> cores;
   for (size_t i = 0; i < own.size(); ++i) {
     if (result->is_core[i]) cores.push_back(i);
   }
 
-  if (role == PartyRole::kAlice) {
+  if (is_alice) {
     ByteWriter hello;
     hello.PutU32(static_cast<uint32_t>(cores.size()));
     hello.PutU32(static_cast<uint32_t>(result->num_clusters));
@@ -410,6 +359,12 @@ Status MergePhase(Channel& channel, const SmcSession& session,
     ByteReader reader(payload);
     PPD_ASSIGN_OR_RETURN(uint32_t bob_cores, reader.GetU32());
     PPD_ASSIGN_OR_RETURN(uint32_t bob_clusters, reader.GetU32());
+    // Bob lists one u32 cluster id per core: bound the claimed count by
+    // the payload before sizing anything from it.
+    if (bob_cores > reader.remaining() / 4) {
+      return Status::DataLoss("merge core count exceeds the payload");
+    }
+    PPD_RETURN_IF_ERROR(CheckMergeCounts(bob_cores, bob_clusters));
     std::vector<uint32_t> bob_core_cluster(bob_cores);
     for (uint32_t k = 0; k < bob_cores; ++k) {
       PPD_ASSIGN_OR_RETURN(bob_core_cluster[k], reader.GetU32());
@@ -423,8 +378,9 @@ Status MergePhase(Channel& channel, const SmcSession& session,
       std::vector<bool> bits;
       PPD_ASSIGN_OR_RETURN(
           size_t hits,
-          HdpBatchDriver(channel, session, comparator, own.point(a),
-                         options.params.eps_squared, rng, &bits));
+          HdpBatchDriver(channel, *peer.session, *peer.comparator,
+                         own.point(a), options.params.eps_squared, rng,
+                         &bits));
       (void)hits;
       for (size_t k = 0; k < bits.size(); ++k) {
         if (bits[k]) {
@@ -454,6 +410,7 @@ Status MergePhase(Channel& channel, const SmcSession& session,
   ByteReader reader(payload);
   PPD_ASSIGN_OR_RETURN(uint32_t alice_cores, reader.GetU32());
   PPD_ASSIGN_OR_RETURN(uint32_t alice_clusters, reader.GetU32());
+  PPD_RETURN_IF_ERROR(CheckMergeCounts(alice_cores, alice_clusters));
 
   ByteWriter hello;
   hello.PutU32(static_cast<uint32_t>(cores.size()));
@@ -467,8 +424,9 @@ Status MergePhase(Channel& channel, const SmcSession& session,
   // requires the driver to know which (anonymous) core bucket matched,
   // and this is exactly the E7 extension's extra disclosure.
   for (uint32_t t = 0; t < alice_cores; ++t) {
-    PPD_RETURN_IF_ERROR(HdpBatchResponder(channel, session, comparator, own,
-                                          rng, &cores, /*permute=*/false));
+    PPD_RETURN_IF_ERROR(HdpBatchResponder(channel, *peer.session,
+                                          *peer.comparator, own, rng, &cores,
+                                          /*permute=*/false));
   }
 
   PPD_ASSIGN_OR_RETURN(std::vector<uint8_t> links_payload,
@@ -496,86 +454,106 @@ Status MergePhase(Channel& channel, const SmcSession& session,
 }  // namespace
 
 Result<PartyClusteringResult> RunHorizontalDbscan(
-    Channel& channel, const SmcSession& session, const Dataset& own_points,
-    PartyRole role, const ProtocolOptions& options, SecureRng& rng,
+    const std::vector<Channel*>& links,
+    const std::vector<const SmcSession*>& sessions, const Dataset& own_points,
+    size_t index, const ProtocolOptions& options, SecureRng& rng,
     DisclosureLog* disclosures, uint64_t* selection_comparisons,
     PlanStats* plan_stats) {
-  PPD_ASSIGN_OR_RETURN(
-      std::unique_ptr<SecureComparator> comparator,
-      CreateComparator(options.comparator, session, rng));
+  const size_t parties = links.size();
+  if (parties < 2) {
+    return Status::InvalidArgument("a horizontal run needs >= 2 parties");
+  }
+  if (index >= parties) {
+    return Status::InvalidArgument("party index out of range");
+  }
+  if (sessions.size() != parties) {
+    return Status::InvalidArgument(
+        "need one link and session slot per party");
+  }
+  if (parties > 2 && options.mode != HorizontalMode::kBasic) {
+    return Status::InvalidArgument(
+        "the enhanced core test is defined for two parties only (it needs "
+        "the k-th smallest distance over one peer's points)");
+  }
+  if (parties > 2 && options.cross_party_merge) {
+    return Status::InvalidArgument(
+        "cross_party_merge is a two-party extension; not defined for "
+        "multi-party runs");
+  }
+
+  // Peers in the public party order, one comparator per link.
+  std::vector<Peer> peers;
+  peers.reserve(parties - 1);
+  for (size_t j = 0; j < parties; ++j) {
+    if (j == index) continue;
+    if (links[j] == nullptr || sessions[j] == nullptr) {
+      return Status::InvalidArgument("missing link or session for a peer");
+    }
+    Peer peer;
+    peer.channel = links[j];
+    peer.session = sessions[j];
+    PPD_ASSIGN_OR_RETURN(peer.comparator,
+                         CreateComparator(options.comparator, *sessions[j],
+                                          rng));
+    peers.push_back(std::move(peer));
+  }
 
   const PlanMode mode = options.plan.mode;
   if (plan_stats != nullptr) {
     plan_stats->mode = mode;
-    plan_stats->sieve_k =
-        mode == PlanMode::kSieve ? options.plan.sieve_k : 0;
+    plan_stats->sieve_k = mode == PlanMode::kSieve ? options.plan.sieve_k : 0;
     plan_stats->local_points = own_points.size();
   }
-
-  // Exact mode runs no plan round — the wire protocol is unchanged.
-  TwoPartyPlan plan;
-  const Dataset* serve_view = &own_points;
+  // Exact mode runs no plan round.
   if (mode != PlanMode::kExact) {
-    PPD_ASSIGN_OR_RETURN(
-        plan, NegotiateTwoPartyPlan(channel, own_points, options, disclosures,
-                                    plan_stats));
-    serve_view = &plan.serve_view;
+    PPD_RETURN_IF_ERROR(
+        PlanRound(peers, own_points, options, disclosures, plan_stats));
   }
 
-  auto drive = [&]() -> Result<PartyClusteringResult> {
-    if (mode == PlanMode::kSieve) {
-      return SieveDriverScan(channel, session, *comparator, own_points,
-                             options, rng, disclosures, selection_comparisons,
-                             plan_stats);
-    }
-    return DriverScan(channel, session, *comparator, own_points, options,
-                      rng, disclosures, selection_comparisons,
-                      mode == PlanMode::kPrune ? &plan.boundary : nullptr);
-  };
-
   // Attribute measured comparisons to the role this party played in each
-  // phase: querier while driving, assistant while responding.
-  uint64_t mark = comparator->invocations();
-  auto account = [&](uint64_t* field) {
-    const uint64_t now = comparator->invocations();
-    if (plan_stats != nullptr && field != nullptr) *field += now - mark;
+  // phase: querier while driving, assistant while serving.
+  uint64_t mark = 0;
+  auto account = [&](uint64_t PlanStats::*field) {
+    uint64_t now = 0;
+    for (const Peer& peer : peers) now += peer.comparator->invocations();
+    if (plan_stats != nullptr) plan_stats->*field += now - mark;
     mark = now;
   };
 
+  // Phases in the public party order: party d scans while everyone else
+  // serves d. All parties iterate the same schedule, so no link carries
+  // two conversations at once.
   PartyClusteringResult result;
-  if (role == PartyRole::kAlice) {
-    PPD_ASSIGN_OR_RETURN(result, drive());
-    account(plan_stats != nullptr ? &plan_stats->encrypted_comparisons
-                                  : nullptr);
-    PPD_RETURN_IF_ERROR(ResponderLoop(channel, session, *comparator,
-                                      *serve_view, options, rng));
-    account(plan_stats != nullptr ? &plan_stats->assisted_comparisons
-                                  : nullptr);
-  } else {
-    PPD_RETURN_IF_ERROR(ResponderLoop(channel, session, *comparator,
-                                      *serve_view, options, rng));
-    account(plan_stats != nullptr ? &plan_stats->assisted_comparisons
-                                  : nullptr);
-    PPD_ASSIGN_OR_RETURN(result, drive());
-    account(plan_stats != nullptr ? &plan_stats->encrypted_comparisons
-                                  : nullptr);
+  size_t next_peer = 0;
+  for (size_t d = 0; d < parties; ++d) {
+    if (d == index) {
+      PPD_ASSIGN_OR_RETURN(
+          result, DriverScan(peers, own_points, options, rng, disclosures,
+                             selection_comparisons, plan_stats));
+      account(&PlanStats::encrypted_comparisons);
+    } else {
+      Peer& peer = peers[next_peer++];
+      PPD_RETURN_IF_ERROR(ServeScan(
+          peer, peer.view ? *peer.view : own_points, options, rng));
+      account(&PlanStats::assisted_comparisons);
+    }
   }
 
   if (options.cross_party_merge) {
     // The merge phase is plan-independent (it compares core points, which
     // are already scan outputs) and runs over the full datasets.
-    PPD_RETURN_IF_ERROR(MergePhase(channel, session, *comparator, own_points,
-                                   role, options, rng, disclosures, &result));
-    account(plan_stats == nullptr ? nullptr
-            : role == PartyRole::kAlice ? &plan_stats->encrypted_comparisons
-                                        : &plan_stats->assisted_comparisons);
+    const bool is_alice = index == 0;
+    PPD_RETURN_IF_ERROR(MergePhase(peers[0], own_points, is_alice, options,
+                                   rng, disclosures, &result));
+    account(is_alice ? &PlanStats::encrypted_comparisons
+                     : &PlanStats::assisted_comparisons);
   }
 
   if (plan_stats != nullptr && mode == PlanMode::kExact) {
-    // No plan round ran, so the peer count is unknown; the measurement IS
-    // the exact bill by definition.
+    // No plan round ran, so the peer counts are unknown; the measurement
+    // IS the exact bill by definition.
     plan_stats->candidate_points = own_points.size();
-    plan_stats->responder_points = own_points.size();
+    plan_stats->responder_points = own_points.size() * (parties - 1);
     plan_stats->exact_comparisons = plan_stats->encrypted_comparisons;
     plan_stats->predicted_comparisons = plan_stats->encrypted_comparisons;
   }

@@ -206,6 +206,8 @@ class PartyRuntime {
   PartyRuntime() = default;
 
   Status ValidateJob(const ClusteringJob& job) const;
+  /// This party's position: its mesh slot, or 0 for Alice and 1 for Bob.
+  size_t OwnIndex(const ClusteringJob& job) const;
   Status Negotiate(const ClusteringJob& job);
   Result<RunOutcome> RunJobRounds(const ClusteringJob& job);
 

@@ -122,13 +122,10 @@ const char* SelectionAlgorithmToString(SelectionAlgorithm selection);
 /// limb widths (the bound is serialized via its wire codec).
 uint64_t ProtocolOptionsDigest(const ProtocolOptions& options);
 
-/// Per-party clustering output. For horizontal runs, `labels` covers the
-/// party's own points; for vertical/arbitrary runs it covers all records.
-struct PartyClusteringResult {
-  Labels labels;
-  std::vector<bool> is_core;
-  size_t num_clusters = 0;
-};
+/// Per-party clustering output: the same fields as centralized DBSCAN's.
+/// For horizontal runs, `labels` covers the party's own points; for
+/// vertical/arbitrary runs it covers all records.
+using PartyClusteringResult = DbscanResult;
 
 }  // namespace ppdbscan
 

@@ -6,7 +6,6 @@
 
 #include "core/arbitrary.h"
 #include "core/horizontal.h"
-#include "core/multiparty.h"
 #include "core/vertical.h"
 #include "core/wire.h"
 #include "net/message.h"
@@ -443,9 +442,12 @@ Status PartyRuntime::ValidateJob(const ClusteringJob& job) const {
   return Status::Ok();
 }
 
+size_t PartyRuntime::OwnIndex(const ClusteringJob& job) const {
+  return mesh_ ? index_ : (job.role == PartyRole::kAlice ? 0 : 1);
+}
+
 Status PartyRuntime::Negotiate(const ClusteringJob& job) {
-  const size_t own_index =
-      mesh_ ? index_ : (job.role == PartyRole::kAlice ? 0 : 1);
+  const size_t own_index = OwnIndex(job);
   const size_t party_count = mesh_ ? parties_ : 2;
   // Send every hello before receiving any: the channels buffer, so the
   // round is deadlock-free regardless of how the parties are scheduled,
@@ -542,12 +544,35 @@ Result<RunOutcome> PartyRuntime::RunJobRounds(const ClusteringJob& job) {
   const auto protocol_start = SteadyClock::now();
   Result<PartyClusteringResult> clustering = Status::Internal("unreached");
   switch (job.scheme) {
-    case PartitionScheme::kHorizontal:
+    case PartitionScheme::kMultiparty:
+      if (job.options.mode != HorizontalMode::kBasic) {
+        return Status::InvalidArgument(
+            "multi-party runs support HorizontalMode::kBasic only (see "
+            "core/horizontal.h)");
+      }
+      if (job.options.cross_party_merge) {
+        return Status::InvalidArgument(
+            "cross_party_merge is a two-party extension; not defined for "
+            "multi-party runs");
+      }
+      [[fallthrough]];
+    case PartitionScheme::kHorizontal: {
+      // Two-party horizontal is the P = 2 call of the same driver.
+      const size_t index = OwnIndex(job);
+      std::vector<Channel*> links(parties_, nullptr);
+      std::vector<const SmcSession*> sessions(parties_, nullptr);
+      for (size_t j = 0; j < parties_; ++j) {
+        if (j == index) continue;
+        const size_t slot = mesh_ ? j : 0;
+        links[j] = links_[slot];
+        sessions[j] = sessions_[slot].get();
+      }
       clustering = RunHorizontalDbscan(
-          *links_[0], *sessions_[0], std::get<Dataset>(job.data), job.role,
-          job.options, *rng_, &outcome.disclosures,
-          &outcome.selection_comparisons, &outcome.plan);
+          links, sessions, std::get<Dataset>(job.data), index, job.options,
+          *rng_, &outcome.disclosures, &outcome.selection_comparisons,
+          &outcome.plan);
       break;
+    }
     case PartitionScheme::kVertical:
       clustering = RunVerticalDbscan(
           *links_[0], *sessions_[0], std::get<Dataset>(job.data), job.role,
@@ -558,17 +583,6 @@ Result<RunOutcome> PartyRuntime::RunJobRounds(const ClusteringJob& job) {
           *links_[0], *sessions_[0], std::get<ArbitraryPartyView>(job.data),
           job.role, job.options, *rng_, &outcome.disclosures);
       break;
-    case PartitionScheme::kMultiparty: {
-      std::vector<const SmcSession*> session_ptrs(parties_, nullptr);
-      for (size_t j = 0; j < parties_; ++j) {
-        if (j != index_) session_ptrs[j] = sessions_[j].get();
-      }
-      clustering = RunMultipartyHorizontalDbscan(
-          links_, session_ptrs, std::get<Dataset>(job.data),
-          MultipartyRole{.index = index_, .parties = parties_}, job.options,
-          *rng_, &outcome.disclosures, &outcome.plan);
-      break;
-    }
   }
   if (!clustering.ok()) return clustering.status();
   outcome.clustering = std::move(clustering).value();

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <deque>
+
+#include "core/expand.h"
 
 namespace ppdbscan {
 
@@ -116,53 +117,28 @@ Result<DbscanResult> RunSievePlan(const Dataset& own,
   const size_t m = sieved.size();
 
   GridRegionQuerier full(own, eps2);
-  LinearRegionQuerier sub(sieved_view);
+  LinearRegionQuerier sub_querier(sieved_view);
   auto own_full_count = [&full, eps2](size_t original_idx) {
     return full.Query(original_idx, eps2).size();
   };
 
-  // Phase 1: the exact scan structure (DriverScan in core/horizontal.cc)
-  // over the sieved subset, with the hook as the core oracle.
-  std::vector<int32_t> sub_labels(m, kUnclassified);
-  std::vector<bool> sub_core(m, false);
-  int32_t cluster_id = 0;
+  // Phase 1: the shared expansion skeleton over the sieved subset, with
+  // the hook as the core oracle.
+  PPD_ASSIGN_OR_RETURN(
+      DbscanResult sub,
+      ExpandClusters(
+          m,
+          [&](size_t si) -> Result<std::vector<size_t>> {
+            return sub_querier.Query(si, eps2);
+          },
+          [&](size_t si, size_t) {
+            return hooks.core_test(own.point(sieved[si]),
+                                   own_full_count(sieved[si]));
+          }));
+  int32_t cluster_id = static_cast<int32_t>(sub.num_clusters);
   for (size_t si = 0; si < m; ++si) {
-    if (sub_labels[si] != kUnclassified) continue;
-    std::vector<size_t> seeds = sub.Query(si, eps2);
-    PPD_ASSIGN_OR_RETURN(
-        bool core,
-        hooks.core_test(own.point(sieved[si]), own_full_count(sieved[si])));
-    if (!core) {
-      sub_labels[si] = kNoise;
-      continue;
-    }
-    sub_core[si] = true;
-    std::deque<size_t> queue;
-    for (size_t s : seeds) {
-      sub_labels[s] = cluster_id;
-      if (s != si) queue.push_back(s);
-    }
-    while (!queue.empty()) {
-      size_t current = queue.front();
-      queue.pop_front();
-      std::vector<size_t> neighbourhood = sub.Query(current, eps2);
-      PPD_ASSIGN_OR_RETURN(bool current_core,
-                           hooks.core_test(own.point(sieved[current]),
-                                           own_full_count(sieved[current])));
-      if (!current_core) continue;
-      sub_core[current] = true;
-      for (size_t q : neighbourhood) {
-        if (sub_labels[q] == kUnclassified || sub_labels[q] == kNoise) {
-          if (sub_labels[q] == kUnclassified) queue.push_back(q);
-          sub_labels[q] = cluster_id;
-        }
-      }
-    }
-    ++cluster_id;
-  }
-  for (size_t si = 0; si < m; ++si) {
-    result.labels[sieved[si]] = sub_labels[si];
-    result.is_core[sieved[si]] = sub_core[si];
+    result.labels[sieved[si]] = sub.labels[si];
+    result.is_core[sieved[si]] = sub.is_core[si];
   }
 
   // Phase 2: leftover assignment — first sieved local core within Eps, by
@@ -173,8 +149,8 @@ Result<DbscanResult> RunSievePlan(const Dataset& own,
   for (size_t li : LeftoverIndices(own.size(), k)) {
     bool assigned = false;
     for (size_t si : sieved_grid.QueryPoint(own.point(li), eps2)) {
-      if (sub_core[si]) {
-        result.labels[li] = sub_labels[si];
+      if (sub.is_core[si]) {
+        result.labels[li] = sub.labels[si];
         assigned = true;
         break;
       }

@@ -6,10 +6,6 @@
 #include "common/status.h"
 #include "core/job.h"
 #include "core/options.h"
-#include "data/partitioners.h"
-#include "dbscan/dataset.h"
-#include "eval/leakage.h"
-#include "net/channel.h"
 #include "net/fault.h"
 #include "smc/session.h"
 
@@ -29,12 +25,15 @@ enum class LocalTransport {
 };
 
 /// N-party in-process harness over the ClusteringJob/PartyRuntime facade:
-/// connects the parties (pair for N == 2, full MemoryChannel mesh for
-/// multiparty), runs each party's job on its own thread through a
-/// PartyRuntime (key exchange, negotiation round, protocol), and returns
-/// the outcomes in party order. Every Execute* convenience below is a thin
-/// shim over this helper. The first failing party's status is returned;
-/// channels are closed on failure so no peer hangs.
+/// connects the parties (a two-party runtime pair for two-party schemes, a
+/// full mesh for kMultiparty jobs — at P = 2 too), runs each party's job on
+/// its own thread through a PartyRuntime (key exchange, negotiation round,
+/// protocol), and returns the outcomes in party order. A two-party
+/// kMultiparty run is the same wire conversation as a kHorizontal basic
+/// run; only the job hello's scheme byte differs. The first failing
+/// party's status is returned; every party closes its channels when it
+/// returns, so no peer hangs. Each party's links carry its job's
+/// round_deadline_ms during session establishment as well.
 Result<std::vector<RunOutcome>> ExecuteLocal(
     const std::vector<LocalJob>& parties, const SmcOptions& smc = {},
     LocalTransport transport = LocalTransport::kMemory);
@@ -52,52 +51,13 @@ struct LocalLinkFault {
 /// to completion and returns PER-PARTY results instead of collapsing to
 /// the first failure — under fault injection the interesting assertion is
 /// what EACH party reports (clean labels, or a named error; never a hang).
-/// Each party's links carry its job's round_deadline_ms during session
-/// establishment too, so a link that dies before the first Run still
-/// surfaces as kDeadlineExceeded rather than wedging the harness. With an
-/// empty `faults` list the outcomes match ExecuteLocal exactly.
+/// The establishment deadline means a link that dies before the first Run
+/// still surfaces as kDeadlineExceeded rather than wedging the harness.
+/// Shares ExecuteLocal's body, so with an empty `faults` list the outcomes
+/// match ExecuteLocal exactly.
 std::vector<Result<RunOutcome>> ExecuteLocalOutcomes(
     const std::vector<LocalJob>& parties, const SmcOptions& smc = {},
     const std::vector<LocalLinkFault>& faults = {});
-
-/// Joint result of one in-process two-party protocol execution.
-/// Channel statistics cover the negotiation and protocol phases only (key
-/// exchange is excluded, matching the paper's per-invocation accounting).
-struct TwoPartyOutcome {
-  PartyClusteringResult alice;
-  PartyClusteringResult bob;
-  ChannelStats alice_stats;
-  ChannelStats bob_stats;
-  DisclosureLog alice_disclosures;
-  DisclosureLog bob_disclosures;
-  uint64_t alice_selection_comparisons = 0;
-  uint64_t bob_selection_comparisons = 0;
-};
-
-/// Cryptographic and protocol configuration for an execution. Seeds make
-/// runs reproducible (each party has an independent deterministic RNG).
-struct ExecutionConfig {
-  SmcOptions smc;
-  ProtocolOptions protocol;
-  uint64_t alice_seed = 0x0a11ce;
-  uint64_t bob_seed = 0x0b0b;
-};
-
-/// Runs the horizontal protocol with both parties on in-process threads.
-/// Thin shim over ExecuteLocal — new code should build ClusteringJobs and
-/// call ExecuteLocal (or drive a PartyRuntime directly) instead.
-Result<TwoPartyOutcome> ExecuteHorizontal(const Dataset& alice_points,
-                                          const Dataset& bob_points,
-                                          const ExecutionConfig& config);
-
-/// Runs the vertical protocol (Alice holds `partition.alice` columns, Bob
-/// `partition.bob`). Thin shim over ExecuteLocal.
-Result<TwoPartyOutcome> ExecuteVertical(const VerticalPartition& partition,
-                                        const ExecutionConfig& config);
-
-/// Runs the arbitrary-partition protocol. Thin shim over ExecuteLocal.
-Result<TwoPartyOutcome> ExecuteArbitrary(const ArbitraryPartition& partition,
-                                         const ExecutionConfig& config);
 
 }  // namespace ppdbscan
 

@@ -1,6 +1,6 @@
 #include "core/vertical.h"
 
-#include "core/joint_scan.h"
+#include "core/expand.h"
 #include "core/wire.h"
 #include "net/message.h"
 #include "smc/comparator.h"
@@ -101,7 +101,7 @@ Result<PartyClusteringResult> RunVerticalDbscan(
     return prune;
   };
 
-  JointRegionQueryFn query = [&](size_t x) -> Result<std::vector<size_t>> {
+  RegionQueryFn query = [&](size_t x) -> Result<std::vector<size_t>> {
     if (is_driver) {
       ByteWriter announce;
       announce.PutU32(static_cast<uint32_t>(x));
@@ -169,8 +169,15 @@ Result<PartyClusteringResult> RunVerticalDbscan(
     return neighbours;
   };
 
-  PPD_ASSIGN_OR_RETURN(PartyClusteringResult result,
-                       JointDbscanScan(n, options.params, query));
+  // Both parties run the expansion in lockstep: the driver's query runs
+  // the secure comparisons and announces the neighbour set, the peer's
+  // query assists and receives it, so both end with identical labels —
+  // the output §3.3 prescribes for records known to both parties.
+  PPD_ASSIGN_OR_RETURN(
+      PartyClusteringResult result,
+      ExpandClusters(n, query, [&](size_t, size_t neighbours) -> Result<bool> {
+        return neighbours >= options.params.min_pts;
+      }));
 
   // Terminal handshake.
   if (is_driver) {

@@ -107,13 +107,6 @@ Result<PaillierContext> PaillierContext::Create(PaillierPublicKey pub) {
   PPD_RETURN_IF_ERROR(mont.status());
   ctx.ctx_n2_ =
       std::make_shared<const MontgomeryCtx>(std::move(mont).value());
-  if (!ctx.g_is_n_plus_1_) {
-    // Non-default generator: every Encrypt computes g^m for this fixed g
-    // and m < n, so a one-time windowed table turns each of those into a
-    // squaring-free product chain. (Default g = n+1 never exponentiates.)
-    ctx.g_table_ = std::make_shared<const FixedBaseTable>(
-        *ctx.ctx_n2_, ctx.pub_.g, ctx.pub_.n.BitLength());
-  }
   return ctx;
 }
 
@@ -147,8 +140,7 @@ Result<BigInt> PaillierContext::EncryptWithFactor(const BigInt& m,
   if (g_is_n_plus_1_) {
     gm = (BigInt(1) + m * pub_.n).Mod(pub_.n_squared);
   } else {
-    // Bit-identical to ctx_n2_->Exp(pub_.g, m), minus all the squarings.
-    gm = g_table_->ExpFixedBase(m);
+    gm = ctx_n2_->Exp(pub_.g, m);
   }
   return (gm * factor).Mod(pub_.n_squared);
 }

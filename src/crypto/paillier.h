@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "bigint/bigint.h"
-#include "bigint/fixed_base.h"
 #include "bigint/montgomery.h"
 #include "common/random.h"
 #include "common/serialize.h"
@@ -151,11 +150,6 @@ class PaillierContext {
   BigInt half_n_;
   std::shared_ptr<const MontgomeryCtx> ctx_n2_;
   bool g_is_n_plus_1_ = false;
-  // Fixed-base table for g^m with a non-default generator (null when
-  // g = n+1, whose g^m needs no exponentiation at all). Built once at
-  // Create; the shared_ptr keeps copies of the context cheap and keeps the
-  // table's MontgomeryCtx reference valid (both point into ctx_n2_).
-  std::shared_ptr<const FixedBaseTable> g_table_;
 };
 
 /// Private-key operations. Decryption uses the CRT over p and q.

@@ -52,6 +52,19 @@ int64_t DistanceSquaredToBox(const std::vector<int64_t>& point,
   return sum;
 }
 
+std::vector<size_t> PointsWithinEpsOfBox(const Dataset& dataset,
+                                         const BoundingBox& box,
+                                         int64_t eps_squared) {
+  std::vector<size_t> out;
+  if (box.empty()) return out;
+  for (size_t i = 0; i < dataset.size(); ++i) {
+    if (DistanceSquaredToBox(dataset.point(i), box) <= eps_squared) {
+      out.push_back(i);
+    }
+  }
+  return out;
+}
+
 GridRegionQuerier::GridRegionQuerier(const Dataset& dataset,
                                      int64_t eps_squared)
     : dataset_(dataset), eps_squared_(eps_squared) {
@@ -182,25 +195,6 @@ std::vector<size_t> GridRegionQuerier::QueryPoint(
   // step) pick the FIRST matching core, so the iteration order is part of
   // the protocol's determinism contract.
   std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::vector<size_t> GridRegionQuerier::PointsWithinEpsOfBox(
-    const BoundingBox& box, int64_t eps_squared) const {
-  PPD_CHECK_MSG(eps_squared == eps_squared_,
-                "grid index built for a different eps");
-  std::vector<size_t> out;
-  if (box.empty()) return out;
-  PPD_CHECK_MSG(box.dims() == dataset_.dims(), "box dimension mismatch");
-  // Exact per-point gap test, ascending index order. The scan is O(n·d)
-  // plaintext arithmetic — noise next to the encrypted rounds it gates —
-  // and unlike cell-level culling it stays exact under CellKey hash
-  // collisions (distinct cells can share a bucket).
-  for (size_t i = 0; i < dataset_.size(); ++i) {
-    if (DistanceSquaredToBox(dataset_.point(i), box) <= eps_squared) {
-      out.push_back(i);
-    }
-  }
   return out;
 }
 

@@ -32,6 +32,17 @@ BoundingBox ComputeBoundingBox(const Dataset& dataset);
 int64_t DistanceSquaredToBox(const std::vector<int64_t>& point,
                              const BoundingBox& box);
 
+/// Eps-boundary band: every index of `dataset` whose point lies within
+/// sqrt(eps_squared) of `box` (inclusive — a point at exactly Eps from the
+/// box face is IN the band), in ascending order; empty for an empty box.
+/// A linear scan: O(n·d) plaintext arithmetic, noise next to the encrypted
+/// rounds it gates. This is the pruning planner's primitive: points
+/// OUTSIDE the band of the peer's bounding box provably have no
+/// cross-party neighbours.
+std::vector<size_t> PointsWithinEpsOfBox(const Dataset& dataset,
+                                         const BoundingBox& box,
+                                         int64_t eps_squared);
+
 /// Uniform-grid spatial index with cell edge ceil(sqrt(eps_squared)):
 /// an Eps-ball around any point is covered by the 3^d cells surrounding the
 /// point's cell, so Query inspects only those cells and filters by exact
@@ -52,23 +63,6 @@ class GridRegionQuerier : public RegionQuerier {
   /// the sieved subset around leftover points with this.
   std::vector<size_t> QueryPoint(const std::vector<int64_t>& coords,
                                  int64_t eps_squared) const;
-
-  /// Eps-boundary band query: every dataset index whose point lies within
-  /// sqrt(eps_squared) of `box` (inclusive — a point at exactly eps from
-  /// the box face is IN the band), ascending index order. Cells whose
-  /// closest corner region is already farther than eps from the box are
-  /// culled wholesale; survivors are filtered by the exact point-to-box
-  /// distance. An empty box yields an empty band. This is the pruning
-  /// planner's primitive: points OUTSIDE the band of the peer's bounding
-  /// box provably have no cross-party neighbours.
-  std::vector<size_t> PointsWithinEpsOfBox(const BoundingBox& box,
-                                           int64_t eps_squared) const;
-
-  /// Alias for PointsWithinEpsOfBox, named for the planner's vocabulary.
-  std::vector<size_t> BoundaryBand(const BoundingBox& box,
-                                   int64_t eps_squared) const {
-    return PointsWithinEpsOfBox(box, eps_squared);
-  }
 
   /// Number of non-empty grid cells (exposed for tests).
   size_t CellCount() const { return cells_.size(); }

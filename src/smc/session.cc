@@ -24,8 +24,7 @@ Result<SmcSession> SmcSession::Establish(Channel& channel, SecureRng& rng,
 
   PPD_ASSIGN_OR_RETURN(
       PaillierKeyPair paillier_kp,
-      GeneratePaillierKeyPair(rng, options.paillier_bits,
-                              options.paillier_random_g));
+      GeneratePaillierKeyPair(rng, options.paillier_bits));
   PPD_ASSIGN_OR_RETURN(RsaKeyPair rsa_kp,
                        GenerateRsaKeyPair(rng, options.rsa_bits));
 

@@ -18,8 +18,6 @@ namespace ppdbscan {
 struct SmcOptions {
   size_t paillier_bits = 512;
   size_t rsa_bits = 512;
-  /// Exercise the general-generator path of §3.7 instead of g = n + 1.
-  bool paillier_random_g = false;
   /// Target depth of the per-session randomizer pool: a background thread
   /// keeps this many r^n mod n² encryption factors precomputed under this
   /// party's own key, so responder-side batch encryptions run at online

@@ -10,18 +10,30 @@
 namespace ppdbscan {
 namespace {
 
-ExecutionConfig EnhancedConfig(int64_t eps_squared, size_t min_pts,
-                               SelectionAlgorithm selection) {
-  ExecutionConfig config;
-  config.smc.paillier_bits = 256;
-  config.smc.rsa_bits = 128;
-  config.protocol.params = {eps_squared, min_pts};
-  config.protocol.mode = HorizontalMode::kEnhanced;
-  config.protocol.selection = selection;
-  config.protocol.comparator.kind = ComparatorKind::kIdeal;
-  config.protocol.comparator.magnitude_bound =
-      RecommendedComparatorBound(2, 1 << 12);
-  return config;
+ProtocolOptions EnhancedOptions(int64_t eps_squared, size_t min_pts,
+                                SelectionAlgorithm selection) {
+  ProtocolOptions options;
+  options.params = {eps_squared, min_pts};
+  options.mode = HorizontalMode::kEnhanced;
+  options.selection = selection;
+  options.comparator.kind = ComparatorKind::kIdeal;
+  options.comparator.magnitude_bound = RecommendedComparatorBound(2, 1 << 12);
+  return options;
+}
+
+/// Runs Alice's and Bob's horizontal jobs in-process through ExecuteLocal
+/// and returns the per-party outcomes {alice, bob}.
+Result<std::vector<RunOutcome>> RunHorizontal(const Dataset& alice,
+                                              const Dataset& bob,
+                                              const ProtocolOptions& options) {
+  SmcOptions smc;
+  smc.paillier_bits = 256;
+  smc.rsa_bits = 128;
+  return ExecuteLocal(
+      {{ClusteringJob::Horizontal(alice, PartyRole::kAlice, options),
+        0x0a11ce},
+       {ClusteringJob::Horizontal(bob, PartyRole::kBob, options), 0x0b0b}},
+      smc);
 }
 
 struct TestData {
@@ -44,46 +56,45 @@ TestData MakeData(uint64_t seed, size_t min_pts) {
 
 TEST(EnhancedSelectionTest, KPassAndQuickSelectAgree) {
   TestData data = MakeData(21, 4);
-  Result<TwoPartyOutcome> kpass = ExecuteHorizontal(
+  Result<std::vector<RunOutcome>> kpass = RunHorizontal(
       data.alice, data.bob,
-      EnhancedConfig(data.eps_squared, data.min_pts,
-                     SelectionAlgorithm::kKPass));
-  Result<TwoPartyOutcome> quick = ExecuteHorizontal(
+      EnhancedOptions(data.eps_squared, data.min_pts,
+                      SelectionAlgorithm::kKPass));
+  Result<std::vector<RunOutcome>> quick = RunHorizontal(
       data.alice, data.bob,
-      EnhancedConfig(data.eps_squared, data.min_pts,
-                     SelectionAlgorithm::kQuickSelect));
+      EnhancedOptions(data.eps_squared, data.min_pts,
+                      SelectionAlgorithm::kQuickSelect));
   ASSERT_TRUE(kpass.ok()) << kpass.status();
   ASSERT_TRUE(quick.ok()) << quick.status();
-  EXPECT_EQ(kpass->alice.labels, quick->alice.labels);
-  EXPECT_EQ(kpass->bob.labels, quick->bob.labels);
+  EXPECT_EQ((*kpass)[0].clustering.labels, (*quick)[0].clustering.labels);
+  EXPECT_EQ((*kpass)[1].clustering.labels, (*quick)[1].clustering.labels);
 }
 
 TEST(EnhancedSelectionTest, ComparisonCountsArePositiveAndBounded) {
   TestData data = MakeData(22, 4);
-  Result<TwoPartyOutcome> kpass = ExecuteHorizontal(
+  Result<std::vector<RunOutcome>> kpass = RunHorizontal(
       data.alice, data.bob,
-      EnhancedConfig(data.eps_squared, data.min_pts,
-                     SelectionAlgorithm::kKPass));
+      EnhancedOptions(data.eps_squared, data.min_pts,
+                      SelectionAlgorithm::kKPass));
   ASSERT_TRUE(kpass.ok());
   // Upper bound: each of Alice's core tests uses at most
   // k*·n_bob comparisons + 1 final.
   uint64_t n_bob = data.bob.size();
   uint64_t bound =
       data.alice.size() * (data.min_pts * n_bob + 1);
-  EXPECT_GT(kpass->alice_selection_comparisons, 0u);
-  EXPECT_LE(kpass->alice_selection_comparisons, bound);
+  EXPECT_GT((*kpass)[0].selection_comparisons, 0u);
+  EXPECT_LE((*kpass)[0].selection_comparisons, bound);
 }
 
 TEST(EnhancedSelectionTest, HigherMinPtsCostsMoreKPassComparisons) {
   TestData data = MakeData(23, 2);
   auto run = [&](size_t min_pts) {
-    Result<TwoPartyOutcome> out = ExecuteHorizontal(
+    Result<std::vector<RunOutcome>> out = RunHorizontal(
         data.alice, data.bob,
-        EnhancedConfig(data.eps_squared, min_pts,
-                       SelectionAlgorithm::kKPass));
+        EnhancedOptions(data.eps_squared, min_pts,
+                        SelectionAlgorithm::kKPass));
     PPD_CHECK(out.ok());
-    return out->alice_selection_comparisons +
-           out->bob_selection_comparisons;
+    return (*out)[0].selection_comparisons + (*out)[1].selection_comparisons;
   };
   // k-pass comparisons grow with k* = MinPts − |own neighbours|.
   EXPECT_LT(run(2), run(6));
@@ -93,30 +104,34 @@ TEST(EnhancedSelectionTest, MaskedSharesWithBoundedMasksAgree) {
   // Small statistical masks (for the YMPP comparator regime) must not
   // change the output.
   TestData data = MakeData(24, 3);
-  ExecutionConfig uniform =
-      EnhancedConfig(data.eps_squared, 3, SelectionAlgorithm::kKPass);
-  ExecutionConfig masked = uniform;
-  masked.protocol.share_mask_bits = 12;
-  Result<TwoPartyOutcome> a = ExecuteHorizontal(data.alice, data.bob, uniform);
-  Result<TwoPartyOutcome> b = ExecuteHorizontal(data.alice, data.bob, masked);
+  ProtocolOptions uniform =
+      EnhancedOptions(data.eps_squared, 3, SelectionAlgorithm::kKPass);
+  ProtocolOptions masked = uniform;
+  masked.share_mask_bits = 12;
+  Result<std::vector<RunOutcome>> a =
+      RunHorizontal(data.alice, data.bob, uniform);
+  Result<std::vector<RunOutcome>> b =
+      RunHorizontal(data.alice, data.bob, masked);
   ASSERT_TRUE(a.ok() && b.ok()) << b.status();
-  EXPECT_EQ(a->alice.labels, b->alice.labels);
-  EXPECT_EQ(a->bob.labels, b->bob.labels);
+  EXPECT_EQ((*a)[0].clustering.labels, (*b)[0].clustering.labels);
+  EXPECT_EQ((*a)[1].clustering.labels, (*b)[1].clustering.labels);
 }
 
 TEST(EnhancedSelectionTest, BlindedComparatorWithUniformMasks) {
   // The production regime: uniform mod-n masks + blinded comparator.
   TestData data = MakeData(25, 3);
-  ExecutionConfig ideal =
-      EnhancedConfig(data.eps_squared, 3, SelectionAlgorithm::kQuickSelect);
-  ExecutionConfig blinded = ideal;
-  blinded.protocol.comparator.kind = ComparatorKind::kBlindedPaillier;
-  blinded.protocol.comparator.blinding_bits = 40;
-  Result<TwoPartyOutcome> a = ExecuteHorizontal(data.alice, data.bob, ideal);
-  Result<TwoPartyOutcome> b = ExecuteHorizontal(data.alice, data.bob, blinded);
+  ProtocolOptions ideal =
+      EnhancedOptions(data.eps_squared, 3, SelectionAlgorithm::kQuickSelect);
+  ProtocolOptions blinded = ideal;
+  blinded.comparator.kind = ComparatorKind::kBlindedPaillier;
+  blinded.comparator.blinding_bits = 40;
+  Result<std::vector<RunOutcome>> a =
+      RunHorizontal(data.alice, data.bob, ideal);
+  Result<std::vector<RunOutcome>> b =
+      RunHorizontal(data.alice, data.bob, blinded);
   ASSERT_TRUE(a.ok() && b.ok()) << b.status();
-  EXPECT_EQ(a->alice.labels, b->alice.labels);
-  EXPECT_EQ(a->bob.labels, b->bob.labels);
+  EXPECT_EQ((*a)[0].clustering.labels, (*b)[0].clustering.labels);
+  EXPECT_EQ((*a)[1].clustering.labels, (*b)[1].clustering.labels);
 }
 
 TEST(EnhancedSelectionTest, PeerWithSinglePoint) {
@@ -125,10 +140,10 @@ TEST(EnhancedSelectionTest, PeerWithSinglePoint) {
   PPD_CHECK(alice.Add({0, 0}).ok());
   PPD_CHECK(alice.Add({1, 0}).ok());
   PPD_CHECK(bob.Add({0, 1}).ok());
-  ExecutionConfig config = EnhancedConfig(2, 3, SelectionAlgorithm::kKPass);
-  Result<TwoPartyOutcome> out = ExecuteHorizontal(alice, bob, config);
+  Result<std::vector<RunOutcome>> out = RunHorizontal(
+      alice, bob, EnhancedOptions(2, 3, SelectionAlgorithm::kKPass));
   ASSERT_TRUE(out.ok()) << out.status();
-  EXPECT_EQ(out->alice.labels[0], 0);  // 2 own + 1 peer >= 3
+  EXPECT_EQ((*out)[0].clustering.labels[0], 0);  // 2 own + 1 peer >= 3
 }
 
 TEST(EnhancedSelectionTest, KStarAbovePeerCountMeansNotCore) {
@@ -136,10 +151,10 @@ TEST(EnhancedSelectionTest, KStarAbovePeerCountMeansNotCore) {
   PPD_CHECK(alice.Add({0, 0}).ok());
   PPD_CHECK(bob.Add({0, 1}).ok());
   // MinPts 5: own neighbourhood 1, k* = 4 > n_bob = 1 → noise.
-  ExecutionConfig config = EnhancedConfig(2, 5, SelectionAlgorithm::kKPass);
-  Result<TwoPartyOutcome> out = ExecuteHorizontal(alice, bob, config);
+  Result<std::vector<RunOutcome>> out = RunHorizontal(
+      alice, bob, EnhancedOptions(2, 5, SelectionAlgorithm::kKPass));
   ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->alice.labels[0], kNoise);
+  EXPECT_EQ((*out)[0].clustering.labels[0], kNoise);
 }
 
 }  // namespace

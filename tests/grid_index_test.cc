@@ -131,15 +131,14 @@ TEST(GridIndexTest, BandIncludesPointExactlyAtEps) {
   Dataset ds(2);
   PPD_CHECK(ds.Add({13, 0}).ok());  // dist to box face = 3, dist² = 9 == eps²
   PPD_CHECK(ds.Add({14, 0}).ok());  // dist² = 16 > 9 — outside the band
-  GridRegionQuerier grid(ds, 9);
   BoundingBox box{{0, -5}, {10, 5}};
-  std::vector<size_t> band = grid.PointsWithinEpsOfBox(box, 9);
+  std::vector<size_t> band = PointsWithinEpsOfBox(ds, box, 9);
   EXPECT_EQ(band, (std::vector<size_t>{0}));
 }
 
 TEST(GridIndexTest, BandOnDegenerateOneCellGrid) {
-  // Huge eps puts every point in one grid cell; the cell-culling fast path
-  // must still fall through to the exact per-point filter.
+  // Huge eps makes the grid nearly one cell; the band is still the exact
+  // per-point filter.
   Dataset ds(2);
   PPD_CHECK(ds.Add({0, 0}).ok());
   PPD_CHECK(ds.Add({30, 0}).ok());
@@ -148,28 +147,26 @@ TEST(GridIndexTest, BandOnDegenerateOneCellGrid) {
   EXPECT_EQ(grid.CellCount(), 2u);   // 200 is still a second cell (edge 50)
   BoundingBox box{{-10, -10}, {-5, 10}};
   // Distances to box: 5² = 25, 35² = 1225, 205² = 42025.
-  EXPECT_EQ(grid.PointsWithinEpsOfBox(box, 2500),
+  EXPECT_EQ(PointsWithinEpsOfBox(ds, box, 2500),
             (std::vector<size_t>{0, 1}));
 }
 
 TEST(GridIndexTest, BandOfEmptyBoxIsEmpty) {
   Dataset ds(2);
   PPD_CHECK(ds.Add({0, 0}).ok());
-  GridRegionQuerier grid(ds, 4);
-  EXPECT_TRUE(grid.PointsWithinEpsOfBox(BoundingBox{}, 4).empty());
+  EXPECT_TRUE(PointsWithinEpsOfBox(ds, BoundingBox{}, 4).empty());
 }
 
 TEST(GridIndexTest, BandMatchesBruteForceOnRandomData) {
   SecureRng rng(41);
   Dataset ds = RandomDataset(rng, 200, 2, 60);
   const int64_t eps2 = 49;
-  GridRegionQuerier grid(ds, eps2);
   BoundingBox box{{-60, -60}, {-20, 10}};
   std::vector<size_t> expected;
   for (size_t i = 0; i < ds.size(); ++i) {
     if (DistanceSquaredToBox(ds.point(i), box) <= eps2) expected.push_back(i);
   }
-  EXPECT_EQ(grid.BoundaryBand(box, eps2), expected);  // ascending order too
+  EXPECT_EQ(PointsWithinEpsOfBox(ds, box, eps2), expected);  // ascending too
 }
 
 TEST(GridIndexTest, QueryPointMatchesLinearAndIsAscending) {

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include "core/run.h"
+#include "core/wire.h"
 #include "data/fixed_point.h"
 #include "data/generators.h"
 #include "data/partitioners.h"
 #include "dbscan/dbscan.h"
 #include "eval/metrics.h"
+#include "net/message.h"
+#include "test_util.h"
 
 namespace ppdbscan {
 namespace {
@@ -286,6 +289,46 @@ TEST(HorizontalTest, CommunicationIsSymmetricallyAccounted) {
   EXPECT_EQ((*out)[0].stats.bytes_sent, (*out)[1].stats.bytes_received);
   EXPECT_EQ((*out)[1].stats.bytes_sent, (*out)[0].stats.bytes_received);
   EXPECT_GT((*out)[0].stats.bytes_sent, 0u);
+}
+
+/// Runs the driver at `index` with no points and the merge extension on,
+/// against a scripted peer that ends its (empty) scan and then sends
+/// `merge_cores` as its kMergeCores frame. Both scans are empty, so that
+/// frame is the first payload the driver decodes from the peer.
+Status RunAgainstScriptedMerge(size_t index, const ByteWriter& merge_cores) {
+  testing_util::SessionPair pair = testing_util::MakeSessionPair(256, 128);
+  Channel& peer = *pair.bob_channel;
+  PPD_CHECK(SendMessage(peer, wire::kHzScanDone, std::vector<uint8_t>()).ok());
+  PPD_CHECK(SendMessage(peer, wire::kMergeCores, merge_cores).ok());
+  ProtocolOptions options = FastConfig(2, 3).protocol;
+  options.cross_party_merge = true;
+  std::vector<Channel*> links(2, nullptr);
+  std::vector<const SmcSession*> sessions(2, nullptr);
+  links[1 - index] = pair.alice_channel.get();
+  sessions[1 - index] = pair.alice.get();
+  return RunHorizontalDbscan(links, sessions, Dataset(2), index, options,
+                             *pair.alice_rng)
+      .status();
+}
+
+TEST(HorizontalTest, MergeRejectsCoreCountBeyondPayload) {
+  // An 8-byte frame claiming 2^28 cores (one u32 cluster id each): Alice
+  // must fail before sizing anything from the claim.
+  ByteWriter frame;
+  frame.PutU32(uint32_t{1} << 28);
+  frame.PutU32(1);
+  EXPECT_EQ(RunAgainstScriptedMerge(0, frame).code(), StatusCode::kDataLoss);
+}
+
+TEST(HorizontalTest, MergeRejectsMoreClustersThanCores) {
+  // Every cluster is opened by a core point: 0 cores and 2^26 clusters is
+  // a lie that would otherwise size the relabeling's union-find.
+  ByteWriter frame;
+  frame.PutU32(0);
+  frame.PutU32(uint32_t{1} << 26);
+  EXPECT_EQ(RunAgainstScriptedMerge(0, frame).code(), StatusCode::kDataLoss);
+  // Bob applies the same rule to Alice's hello.
+  EXPECT_EQ(RunAgainstScriptedMerge(1, frame).code(), StatusCode::kDataLoss);
 }
 
 }  // namespace

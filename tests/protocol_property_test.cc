@@ -65,25 +65,46 @@ class ProtocolPropertyTest : public ::testing::TestWithParam<SweepCase> {
                .min_pts = param.min_pts};
     central_ = RunDbscan(full_, params_);
 
-    config_.smc.paillier_bits = 256;
-    config_.smc.rsa_bits = 128;
-    config_.protocol.params = params_;
-    config_.protocol.comparator.kind = ComparatorKind::kIdeal;
-    config_.protocol.comparator.magnitude_bound =
+    smc_.paillier_bits = 256;
+    smc_.rsa_bits = 128;
+    options_.params = params_;
+    options_.comparator.kind = ComparatorKind::kIdeal;
+    options_.comparator.magnitude_bound =
         RecommendedComparatorBound(2, 1 << 12);
+  }
+
+  /// Runs Alice's and Bob's jobs in-process through ExecuteLocal and
+  /// returns the per-party outcomes {alice, bob}.
+  Result<std::vector<RunOutcome>> RunPair(ClusteringJob alice,
+                                          ClusteringJob bob) const {
+    return ExecuteLocal(
+        {{std::move(alice), 0x0a11ce}, {std::move(bob), 0x0b0b}}, smc_);
+  }
+  Result<std::vector<RunOutcome>> RunHorizontal(
+      const HorizontalPartition& hp, const ProtocolOptions& options) const {
+    return RunPair(ClusteringJob::Horizontal(hp.alice, PartyRole::kAlice,
+                                             options),
+                   ClusteringJob::Horizontal(hp.bob, PartyRole::kBob, options));
+  }
+  Result<std::vector<RunOutcome>> RunVertical(
+      const VerticalPartition& vp, const ProtocolOptions& options) const {
+    return RunPair(
+        ClusteringJob::Vertical(vp.alice, PartyRole::kAlice, options),
+        ClusteringJob::Vertical(vp.bob, PartyRole::kBob, options));
   }
 
   Dataset full_{2};
   DbscanParams params_;
   DbscanResult central_;
-  ExecutionConfig config_;
+  SmcOptions smc_;
+  ProtocolOptions options_;
 };
 
 TEST_P(ProtocolPropertyTest, HorizontalCoreAndClusterInvariants) {
   SecureRng split_rng(GetParam().seed + 1);
   HorizontalPartition hp =
       *PartitionHorizontal(full_, split_rng, GetParam().split_fraction);
-  Result<TwoPartyOutcome> out = ExecuteHorizontal(hp.alice, hp.bob, config_);
+  Result<std::vector<RunOutcome>> out = RunHorizontal(hp, options_);
   ASSERT_TRUE(out.ok()) << out.status();
 
   auto check_party = [&](const PartyClusteringResult& result,
@@ -98,62 +119,66 @@ TEST_P(ProtocolPropertyTest, HorizontalCoreAndClusterInvariants) {
       }
     }
   };
-  check_party(out->alice, hp.alice_ids, "alice");
-  check_party(out->bob, hp.bob_ids, "bob");
+  check_party((*out)[0].clustering, hp.alice_ids, "alice");
+  check_party((*out)[1].clustering, hp.bob_ids, "bob");
 }
 
 TEST_P(ProtocolPropertyTest, VerticalMatchesCentralizedExactly) {
   size_t split_dim = 1;
   VerticalPartition vp = *PartitionVertical(full_, split_dim);
-  Result<TwoPartyOutcome> out = ExecuteVertical(vp, config_);
+  Result<std::vector<RunOutcome>> out = RunVertical(vp, options_);
   ASSERT_TRUE(out.ok()) << out.status();
-  EXPECT_TRUE(SameClustering(out->alice.labels, central_.labels));
-  EXPECT_EQ(out->alice.labels, out->bob.labels);
-  EXPECT_EQ(out->alice.is_core, central_.is_core);
+  EXPECT_TRUE(SameClustering((*out)[0].clustering.labels, central_.labels));
+  EXPECT_EQ((*out)[0].clustering.labels, (*out)[1].clustering.labels);
+  EXPECT_EQ((*out)[0].clustering.is_core, central_.is_core);
 }
 
 TEST_P(ProtocolPropertyTest, ArbitraryMatchesCentralizedExactly) {
   SecureRng split_rng(GetParam().seed + 2);
   ArbitraryPartition ap =
       *PartitionArbitrary(full_, split_rng, GetParam().split_fraction);
-  Result<TwoPartyOutcome> out = ExecuteArbitrary(ap, config_);
+  Result<std::vector<RunOutcome>> out = RunPair(
+      ClusteringJob::Arbitrary(ap.alice, PartyRole::kAlice, options_),
+      ClusteringJob::Arbitrary(ap.bob, PartyRole::kBob, options_));
   ASSERT_TRUE(out.ok()) << out.status();
-  EXPECT_TRUE(SameClustering(out->alice.labels, central_.labels));
-  EXPECT_EQ(out->alice.labels, out->bob.labels);
+  EXPECT_TRUE(SameClustering((*out)[0].clustering.labels, central_.labels));
+  EXPECT_EQ((*out)[0].clustering.labels, (*out)[1].clustering.labels);
 }
 
 TEST_P(ProtocolPropertyTest, EnhancedModesMatchBasic) {
   SecureRng split_rng(GetParam().seed + 1);
   HorizontalPartition hp =
       *PartitionHorizontal(full_, split_rng, GetParam().split_fraction);
-  Result<TwoPartyOutcome> basic =
-      ExecuteHorizontal(hp.alice, hp.bob, config_);
+  Result<std::vector<RunOutcome>> basic = RunHorizontal(hp, options_);
   ASSERT_TRUE(basic.ok()) << basic.status();
 
   for (SelectionAlgorithm selection :
        {SelectionAlgorithm::kKPass, SelectionAlgorithm::kQuickSelect}) {
-    ExecutionConfig enhanced_config = config_;
-    enhanced_config.protocol.mode = HorizontalMode::kEnhanced;
-    enhanced_config.protocol.selection = selection;
-    Result<TwoPartyOutcome> enhanced =
-        ExecuteHorizontal(hp.alice, hp.bob, enhanced_config);
+    ProtocolOptions enhanced_options = options_;
+    enhanced_options.mode = HorizontalMode::kEnhanced;
+    enhanced_options.selection = selection;
+    Result<std::vector<RunOutcome>> enhanced =
+        RunHorizontal(hp, enhanced_options);
     ASSERT_TRUE(enhanced.ok()) << enhanced.status();
-    EXPECT_EQ(basic->alice.labels, enhanced->alice.labels);
-    EXPECT_EQ(basic->bob.labels, enhanced->bob.labels);
-    EXPECT_EQ(basic->alice.is_core, enhanced->alice.is_core);
+    EXPECT_EQ((*basic)[0].clustering.labels,
+              (*enhanced)[0].clustering.labels);
+    EXPECT_EQ((*basic)[1].clustering.labels,
+              (*enhanced)[1].clustering.labels);
+    EXPECT_EQ((*basic)[0].clustering.is_core,
+              (*enhanced)[0].clustering.is_core);
   }
 }
 
 TEST_P(ProtocolPropertyTest, VerticalPruningOnlyChangesTraffic) {
   VerticalPartition vp = *PartitionVertical(full_, 1);
-  Result<TwoPartyOutcome> plain = ExecuteVertical(vp, config_);
+  Result<std::vector<RunOutcome>> plain = RunVertical(vp, options_);
   ASSERT_TRUE(plain.ok());
-  ExecutionConfig pruned_config = config_;
-  pruned_config.protocol.vdp_local_pruning = true;
-  Result<TwoPartyOutcome> pruned = ExecuteVertical(vp, pruned_config);
+  ProtocolOptions pruned_options = options_;
+  pruned_options.vdp_local_pruning = true;
+  Result<std::vector<RunOutcome>> pruned = RunVertical(vp, pruned_options);
   ASSERT_TRUE(pruned.ok()) << pruned.status();
-  EXPECT_EQ(plain->alice.labels, pruned->alice.labels);
-  EXPECT_EQ(plain->alice.is_core, pruned->alice.is_core);
+  EXPECT_EQ((*plain)[0].clustering.labels, (*pruned)[0].clustering.labels);
+  EXPECT_EQ((*plain)[0].clustering.is_core, (*pruned)[0].clustering.is_core);
 }
 
 INSTANTIATE_TEST_SUITE_P(

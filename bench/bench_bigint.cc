@@ -114,7 +114,7 @@ BENCHMARK(BM_ModExpSmallExponent)->Arg(512)->Arg(1024)->Arg(2048);
 // exponent — the r^n shape in Paillier Encrypt. ns_per_op is for the
 // whole batch; divide by 8 for the per-element cost to compare with
 // BM_ModExp. Routed to the AVX-512 IFMA engine where the host supports
-// it, else the 4-stream lockstep fallback.
+// it, else one scalar Exp per element across the thread pool.
 void BM_ExpBatch(benchmark::State& state) {
   SecureRng rng(13);
   const size_t bits = static_cast<size_t>(state.range(0));

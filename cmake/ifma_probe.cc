@@ -2,9 +2,8 @@
 // AVX-512 IFMA batch-exponentiation engine (CPUID reports AVX-512F and
 // AVX-512 IFMA, the OS has enabled XSAVE, and XCR0 exposes the opmask/ZMM
 // register state). Mirrors ifma::Available()'s runtime detection exactly.
-// Used only to decide whether the PPDBSCAN_EXP_ENGINE=ifma-forced ctest
-// variants are registered on this host — forcing the engine on an
-// unsupported host aborts by design.
+// Used only to compile montgomery_test with PPDBSCAN_REQUIRE_IFMA_ENGINE
+// on such hosts, so the test fails if the engine silently drops out.
 #include <cpuid.h>
 
 int main() {

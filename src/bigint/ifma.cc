@@ -1,9 +1,7 @@
 #include "bigint/ifma.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
-#include <string_view>
 
 #include "bigint/limb.h"
 #include "common/status.h"
@@ -165,23 +163,7 @@ void Amm(size_t, const uint64_t*, uint64_t, const uint64_t*,
 }  // namespace
 
 bool Available() {
-  static const bool available = [] {
-    const bool host = DetectHostIfma();
-    const char* env = std::getenv("PPDBSCAN_EXP_ENGINE");
-    if (env != nullptr && env[0] != '\0') {
-      const std::string_view v(env);
-      if (v == "ifma") {
-        PPD_CHECK_MSG(host,
-                      "PPDBSCAN_EXP_ENGINE=ifma forced but this host cannot "
-                      "run AVX-512 IFMA");
-        return true;
-      }
-      if (v == "lockstep") return false;
-      PPD_CHECK_MSG(false, "unknown PPDBSCAN_EXP_ENGINE value: "
-                               << env << " (expected ifma or lockstep)");
-    }
-    return host;
-  }();
+  static const bool available = DetectHostIfma();
   return available;
 }
 

@@ -29,12 +29,10 @@ namespace ifma {
 /// host supports AVX-512 IFMA.
 constexpr size_t kIfmaLanes = 8;
 
-/// True when the engine is compiled in, the CPU+OS support AVX-512 F/IFMA
-/// with ZMM state enabled, and PPDBSCAN_EXP_ENGINE does not force it off.
-/// The decision is made once per process (the env var is read on first
-/// call). PPDBSCAN_EXP_ENGINE=ifma aborts the process when the host
-/// cannot run the engine (mirrors the PPDBSCAN_KERNEL contract);
-/// PPDBSCAN_EXP_ENGINE=lockstep disables it.
+/// True when the engine is compiled in and the CPU+OS support AVX-512
+/// F/IFMA with ZMM state enabled: host detection only, made once per
+/// process. Without it, MontgomeryCtx::ExpBatch runs scalar Exp per
+/// element.
 bool Available();
 
 /// Per-modulus radix-2^52 context: modulus digits (lane-replicated),

@@ -232,23 +232,14 @@ BigInt MontgomeryCtx::Exp(const BigInt& base, const BigInt& exponent) const {
   return BigInt::FromLimbs(MulLimbs(result, {1u}), 1);
 }
 
-// --- multi-stream batch engine ----------------------------------------------
-//
-// The batch paths below keep every value as a fixed-width k_-limb span so a
-// whole lockstep group lives in one preallocated arena: no per-operation
-// vector allocations, and the REDC rounds of the group's streams interleave
-// in one loop. Interleaving is the point — a lone Montgomery product
-// serializes on the t-array read-modify-write chain between consecutive
-// rounds (round i+1 reloads limbs round i just stored), and feeding the
-// out-of-order core a sibling stream's round while that store-forward
-// completes is worth ~1.5–2× per element on the mulx kernel.
+// --- shared-exponent batch (ExpBatch) ---------------------------------------
 
 namespace {
 
 /// Builds the sliding-window schedule Exp walks implicitly: identical
-/// window boundaries and table indices, shared by every stream of a batch
-/// (the exponent is common, so the schedule is too). The first op always
-/// seeds the accumulator (squarings == 0).
+/// window boundaries and table indices, shared by every lane of an IFMA
+/// group (the exponent is common, so the schedule is too). The first op
+/// always seeds the accumulator (squarings == 0).
 std::vector<MontgomeryCtx::WindowOp> BuildWindowSchedule(
     const BigInt& exponent, int w) {
   std::vector<MontgomeryCtx::WindowOp> ops;
@@ -285,206 +276,22 @@ std::vector<MontgomeryCtx::WindowOp> BuildWindowSchedule(
   return ops;
 }
 
-/// Copies a BigInt magnitude into a fixed k-limb span, clamping wide
-/// operands to their low k limbs (the MulMont contract) and zero-padding
-/// short ones.
-void LoadFixed(const std::vector<Limb>& limbs, size_t k, Limb* out) {
-  const size_t n = std::min(limbs.size(), k);
-  std::copy(limbs.begin(), limbs.begin() + static_cast<long>(n), out);
-  std::fill(out + n, out + k, Limb{0});
-}
-
 }  // namespace
-
-void MontgomeryCtx::FinalizeRedcFixed(Limb* t, Limb* out) const {
-  const LimbKernels& kern = ActiveLimbKernels();
-  Limb* r = t + k_;  // k_ + 2 limbs: REDC result, < 2n
-  bool ge = r[k_] != 0 || r[k_ + 1] != 0;
-  if (!ge) {
-    ge = true;
-    for (size_t i = k_; i-- > 0;) {
-      if (r[i] != n_[i]) {
-        ge = r[i] > n_[i];
-        break;
-      }
-    }
-  }
-  if (ge) {
-    Limb borrow = kern.sub_n(r, r, n_.data(), k_);
-    borrow = PropagateBorrow(r + k_, 2, borrow);
-    PPD_CHECK(borrow == 0);
-  }
-  PPD_CHECK(r[k_] == 0 && r[k_ + 1] == 0);  // reduced result fits k_ limbs
-  std::copy(r, r + k_, out);
-}
-
-void MontgomeryCtx::MulRoundsBatch(size_t ns, Limb* t, const Limb* const* a,
-                                   const Limb* const* b, size_t bn,
-                                   Limb* const* out) const {
-  const LimbKernels& kern = ActiveLimbKernels();
-  const size_t stride = 2 * k_ + 2;
-  std::fill(t, t + ns * stride, Limb{0});
-  // Same integer per round as MulLimbs; only the iteration order differs —
-  // all streams advance through round i before any stream starts round
-  // i+1, so stream s's round i+1 store-forward latency is hidden behind
-  // the other ns-1 streams' round-i work.
-  for (size_t i = 0; i < k_; ++i) {
-    for (size_t s = 0; s < ns; ++s) {
-      Limb* ts = t + s * stride;
-      Limb* ti = ts + i;
-      Limb c = kern.addmul_1(ti, b[s], bn, a[s][i]);
-      PPD_CHECK(PropagateCarry(ts + i + bn, stride - i - bn, c) == 0);
-      Limb m = static_cast<Limb>(ti[0] * n0_inv_);
-      c = kern.addmul_1(ti, n_.data(), k_, m);
-      PPD_CHECK(PropagateCarry(ts + i + k_, stride - i - k_, c) == 0);
-    }
-  }
-  for (size_t s = 0; s < ns; ++s) FinalizeRedcFixed(t + s * stride, out[s]);
-}
-
-void MontgomeryCtx::SqrRoundsBatch(size_t ns, Limb* t, const Limb* const* a,
-                                   Limb* const* out) const {
-  const LimbKernels& kern = ActiveLimbKernels();
-  const size_t stride = 2 * k_ + 2;
-  std::fill(t, t + ns * stride, Limb{0});
-  // Cross-term rows a_i·a_{i+1..}, row-interleaved across streams.
-  for (size_t i = 0; i + 1 < k_; ++i) {
-    for (size_t s = 0; s < ns; ++s) {
-      Limb* ts = t + s * stride;
-      Limb c = kern.addmul_1(ts + 2 * i + 1, a[s] + i + 1, k_ - i - 1,
-                             a[s][i]);
-      PPD_CHECK(PropagateCarry(ts + i + k_, stride - i - k_, c) == 0);
-    }
-  }
-  // Doubling + diagonal: a strict serial carry chain, but linear work —
-  // per-stream passes back to back are cheap enough to leave uninterleaved.
-  for (size_t s = 0; s < ns; ++s) {
-    Limb* ts = t + s * stride;
-    const Limb* as = a[s];
-    DoubleLimb carry = 0;
-    for (size_t i = 0; i < k_ + 1; ++i) {
-      DoubleLimb sq = i < k_ ? static_cast<DoubleLimb>(as[i]) * as[i] : 0;
-      DoubleLimb s0 = (static_cast<DoubleLimb>(ts[2 * i]) << 1) +
-                      static_cast<Limb>(sq) + carry;
-      ts[2 * i] = static_cast<Limb>(s0);
-      DoubleLimb s1 = (static_cast<DoubleLimb>(ts[2 * i + 1]) << 1) +
-                      (sq >> kLimbBits) + (s0 >> kLimbBits);
-      ts[2 * i + 1] = static_cast<Limb>(s1);
-      carry = s1 >> kLimbBits;
-    }
-  }
-  // REDC rounds, interleaved like MulRoundsBatch.
-  for (size_t i = 0; i < k_; ++i) {
-    for (size_t s = 0; s < ns; ++s) {
-      Limb* ts = t + s * stride;
-      Limb m = static_cast<Limb>(ts[i] * n0_inv_);
-      Limb c = kern.addmul_1(ts + i, n_.data(), k_, m);
-      PPD_CHECK(PropagateCarry(ts + i + k_, stride - i - k_, c) == 0);
-    }
-  }
-  for (size_t s = 0; s < ns; ++s) FinalizeRedcFixed(t + s * stride, out[s]);
-}
-
-void MontgomeryCtx::ExpLockstep(size_t ns, const BigInt* bases,
-                                const std::vector<WindowOp>& ops,
-                                int window_bits, BigInt* out) const {
-  const size_t table_size = size_t{1} << (window_bits - 1);
-  // One arena for the whole group: per stream an odd-power table and an
-  // accumulator, plus shared REDC scratch and the padded shared R².
-  const size_t stride = 2 * k_ + 2;
-  std::vector<Limb> arena(ns * (table_size * k_ + k_) + ns * stride + k_);
-  Limb* tables = arena.data();                     // ns × table_size × k_
-  Limb* accs = tables + ns * table_size * k_;      // ns × k_
-  Limb* scratch = accs + ns * k_;                  // ns × stride
-  Limb* r2 = scratch + ns * stride;                // k_ (shared)
-  LoadFixed(r2_, k_, r2);
-
-  auto table_entry = [&](size_t s, size_t idx) {
-    return tables + (s * table_size + idx) * k_;
-  };
-  auto acc = [&](size_t s) { return accs + s * k_; };
-
-  std::array<const Limb*, kExpBatchStreams> in;
-  std::array<const Limb*, kExpBatchStreams> mul;
-  std::array<Limb*, kExpBatchStreams> res;
-
-  // ToMont every base straight into table slot 0 (base^1).
-  for (size_t s = 0; s < ns; ++s) {
-    LoadFixed(bases[s].limbs(), k_, acc(s));  // accumulator as staging slot
-    in[s] = acc(s);
-    res[s] = table_entry(s, 0);
-  }
-  mul.fill(r2);
-  MulRoundsBatch(ns, scratch, in.data(), mul.data(), k_, res.data());
-
-  if (table_size > 1) {
-    // b2 = base², then table[i] = table[i-1]·b2 — all streams in lockstep.
-    // b2 differs per stream, so it borrows each stream's accumulator slot.
-    for (size_t s = 0; s < ns; ++s) {
-      in[s] = table_entry(s, 0);
-      res[s] = acc(s);
-      mul[s] = acc(s);
-    }
-    SqrRoundsBatch(ns, scratch, in.data(), res.data());
-    for (size_t idx = 1; idx < table_size; ++idx) {
-      for (size_t s = 0; s < ns; ++s) {
-        in[s] = table_entry(s, idx - 1);
-        res[s] = table_entry(s, idx);
-      }
-      MulRoundsBatch(ns, scratch, in.data(), mul.data(), k_, res.data());
-    }
-  }
-
-  // Walk the shared schedule. The first op seeds each accumulator from its
-  // stream's table (same index everywhere — the exponent is shared).
-  for (size_t s = 0; s < ns; ++s) {
-    std::copy(table_entry(s, ops[0].table_index),
-              table_entry(s, ops[0].table_index) + k_, acc(s));
-    in[s] = acc(s);
-    res[s] = acc(s);
-  }
-  for (size_t op_i = 1; op_i < ops.size(); ++op_i) {
-    const WindowOp& op = ops[op_i];
-    for (uint32_t q = 0; q < op.squarings; ++q) {
-      SqrRoundsBatch(ns, scratch, in.data(), res.data());
-    }
-    if (op.table_index != WindowOp::kNoMultiply) {
-      for (size_t s = 0; s < ns; ++s) mul[s] = table_entry(s, op.table_index);
-      MulRoundsBatch(ns, scratch, in.data(), mul.data(), k_, res.data());
-    }
-  }
-
-  // Out of the Montgomery domain: multiply by 1.
-  static constexpr Limb kOne[1] = {1};
-  mul.fill(kOne);
-  MulRoundsBatch(ns, scratch, in.data(), mul.data(), 1, res.data());
-  for (size_t s = 0; s < ns; ++s) {
-    std::vector<Limb> limbs(acc(s), acc(s) + k_);
-    out[s] = BigInt::FromLimbs(std::move(limbs), 1);
-  }
-}
 
 std::vector<BigInt> MontgomeryCtx::ExpBatch(const std::vector<BigInt>& bases,
                                             const BigInt& exponent,
                                             ThreadPool* pool) const {
   PPD_CHECK_MSG(!exponent.IsNegative(), "negative exponent");
   std::vector<BigInt> out(bases.size());
-  if (bases.empty()) return out;
-  if (exponent.IsZero() || bases.size() == 1) {
-    // Degenerate shapes: the scalar path is already optimal (and for a
-    // zero exponent every result is the same 1).
-    for (size_t i = 0; i < bases.size(); ++i) out[i] = Exp(bases[i], exponent);
-    return out;
-  }
-  const int w = WindowBitsForExponent(exponent.BitLength());
-  const std::vector<WindowOp> ops = BuildWindowSchedule(exponent, w);
-  if (ifma::Available()) {
+  if (bases.size() > 1 && !exponent.IsZero() && ifma::Available()) {
     // 8-wide AVX-512 IFMA engine: one exponentiation per vpmadd52 lane.
     // Bit-identical to Exp, so the engine choice is unobservable beyond
     // speed. A tail group of one falls back to scalar Exp (a single lane
     // would waste the other seven).
     const ifma::Ctx52 c52(modulus_, r2_);
     if (c52.ok()) {
+      const int w = WindowBitsForExponent(exponent.BitLength());
+      const std::vector<WindowOp> ops = BuildWindowSchedule(exponent, w);
       const size_t groups =
           (bases.size() + ifma::kIfmaLanes - 1) / ifma::kIfmaLanes;
       ParallelFor(
@@ -504,15 +311,10 @@ std::vector<BigInt> MontgomeryCtx::ExpBatch(const std::vector<BigInt>& bases,
       return out;
     }
   }
-  const size_t groups =
-      (bases.size() + kExpBatchStreams - 1) / kExpBatchStreams;
+  // The IFMA engine is absent or the modulus exceeds its digit cap: one
+  // scalar Exp per element, fanned across the pool.
   ParallelFor(
-      groups,
-      [&](size_t g) {
-        const size_t begin = g * kExpBatchStreams;
-        const size_t ns = std::min(kExpBatchStreams, bases.size() - begin);
-        ExpLockstep(ns, bases.data() + begin, ops, w, out.data() + begin);
-      },
+      bases.size(), [&](size_t i) { out[i] = Exp(bases[i], exponent); },
       pool);
   return out;
 }

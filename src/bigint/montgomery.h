@@ -57,29 +57,17 @@ class MontgomeryCtx {
   /// analogue of Exp, bit-identical to calling Exp per element (the result
   /// representation is canonical, so equality is exact).
   ///
-  /// The win is architectural, not algorithmic: the batch is processed in
-  /// groups of kExpBatchStreams independent exponentiations walked in
-  /// lockstep through one shared window schedule, with the Montgomery
-  /// REDC rounds of the in-flight group interleaved at the round level.
-  /// A single exponentiation serializes on the store-forwarding chain
-  /// between consecutive REDC rounds; round-interleaving gives the
-  /// out-of-order core an independent multiply to retire while a sibling
-  /// stream's round waits, which is where the measured ~1.5–2× per-element
-  /// speedup comes from. Groups beyond the first are fanned across `pool`
-  /// (the global pool when null; on a single-worker pool the calling
-  /// thread runs them serially).
+  /// On hosts with AVX-512 IFMA (ifma::Available()) and moduli within the
+  /// engine's digit cap, groups of ifma::kIfmaLanes bases walk one shared
+  /// window schedule in the vector lanes; elsewhere each base runs scalar
+  /// Exp. Either way the work is fanned across `pool` (the global pool when
+  /// null; on a single-worker pool the calling thread runs it serially).
   ///
   /// This is the Paillier encryption hot path: every randomizer factor in
   /// a job is r_i^n mod n² for the same public exponent n.
   std::vector<BigInt> ExpBatch(const std::vector<BigInt>& bases,
                                const BigInt& exponent,
                                ThreadPool* pool = nullptr) const;
-
-  /// Independent exponentiations kept in flight by ExpBatch's round-level
-  /// interleave. Sized so one group's working set (window tables included)
-  /// stays L1/L2-resident for production moduli while still covering the
-  /// inter-round dependency latency.
-  static constexpr size_t kExpBatchStreams = 4;
 
   /// Sliding-window width used by Exp for an exponent of `exp_bits` bits.
   /// Exposed so tests can pin behaviour at the width boundaries; the
@@ -89,12 +77,11 @@ class MontgomeryCtx {
 
   const BigInt& modulus() const { return modulus_; }
 
-  /// One entry of the shared left-to-right sliding-window schedule ExpBatch
-  /// walks: `squarings` squarings followed by a multiply with odd-power
-  /// table entry `table_index` (kNoMultiply for the trailing zero-run
-  /// entry). Public only so the batch engines (lockstep here, AVX-512 IFMA
-  /// in bigint/ifma.h) can share one schedule — not a supported API
-  /// surface.
+  /// One entry of the left-to-right sliding-window schedule ExpBatch hands
+  /// the AVX-512 IFMA engine (bigint/ifma.h): `squarings` squarings
+  /// followed by a multiply with odd-power table entry `table_index`
+  /// (kNoMultiply for the trailing zero-run entry). Public only so that
+  /// engine can walk it — not a supported API surface.
   struct WindowOp {
     uint32_t squarings;
     uint32_t table_index;
@@ -112,29 +99,6 @@ class MontgomeryCtx {
   // terms, then k REDC rounds); a little-endian, clamped to its low k_
   // limbs.
   std::vector<Limb> SqrLimbs(const std::vector<Limb>& a) const;
-
-  // --- multi-stream batch engine (ExpBatch) --------------------------------
-  // All batch values are fixed-width k_-limb little-endian spans (zero
-  // padded); `t` is caller-provided scratch of ns·(2k_+2) limbs.
-
-  // out[s] = Montgomery product of a[s] (k_ limbs) and b[s] (bn limbs),
-  // for ns streams with the REDC rounds interleaved across streams.
-  // out[s] may alias a[s] or b[s]; results are fully reduced (< n).
-  void MulRoundsBatch(size_t ns, Limb* t, const Limb* const* a,
-                      const Limb* const* b, size_t bn,
-                      Limb* const* out) const;
-  // out[s] = Montgomery square of a[s] (k_ limbs), cross-term rows and
-  // REDC rounds interleaved across the ns streams.
-  void SqrRoundsBatch(size_t ns, Limb* t, const Limb* const* a,
-                      Limb* const* out) const;
-  // Final REDC step shared by the batch paths: conditional subtract of n
-  // on the k_+2-limb accumulator tail at t+k_, then copy k_ limbs to out.
-  void FinalizeRedcFixed(Limb* t, Limb* out) const;
-  // One lockstep group: out[s] = bases[s]^exponent via the shared window
-  // schedule (see ExpBatch).
-  void ExpLockstep(size_t ns, const BigInt* bases,
-                   const std::vector<WindowOp>& ops, int window_bits,
-                   BigInt* out) const;
 
   BigInt modulus_;
   std::vector<Limb> n_;   // modulus limbs (little-endian)

@@ -1,28 +1,13 @@
 #include "core/distance_protocols.h"
 
+#include <span>
+
 #include "bigint/codec.h"
-#include "common/thread_pool.h"
 #include "core/wire.h"
 #include "net/message.h"
+#include "smc/multiplication.h"
 
 namespace ppdbscan {
-
-namespace {
-
-/// Zero-sum masks over Z_n: m uniform values with Σr_j = 0 (mod n), the
-/// masking step of the paper's HDP.
-std::vector<BigInt> ZeroSumMasks(SecureRng& rng, size_t m, const BigInt& n) {
-  std::vector<BigInt> masks(m);
-  BigInt sum;
-  for (size_t j = 0; j + 1 < m; ++j) {
-    masks[j] = BigInt::RandomBelow(rng, n);
-    sum += masks[j];
-  }
-  masks[m - 1] = (-sum).Mod(n);
-  return masks;
-}
-
-}  // namespace
 
 std::vector<size_t> RandomPermutation(SecureRng& rng, size_t n) {
   std::vector<size_t> perm(n);
@@ -40,8 +25,6 @@ Result<size_t> HdpBatchDriver(Channel& channel, const SmcSession& session,
                               int64_t eps_squared, SecureRng& rng,
                               std::vector<bool>* bits) {
   const PaillierContext& peer = session.peer_paillier();
-  const BigInt& n = peer.pub().n;
-
   PPD_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
                        ExpectMessage(channel, wire::kHdpCiphers));
   ByteReader reader(payload);
@@ -52,55 +35,16 @@ Result<size_t> HdpBatchDriver(Channel& channel, const SmcSession& session,
                      Status::DataLoss("HDP dimension mismatch"),
                      "hdp dimension mismatch");
   }
-
-  // For every responder point k and coordinate j, complete the
-  // Multiplication Protocol as the Helper: E(y_kj)^{x_j} · E(r_kj), with
-  // masks summing to zero per point. The whole count × dims cipher matrix
-  // is collected first so the expensive transforms run as three batch
-  // passes (MulPlain, Encrypt, Add) fanned across the thread pool. The
-  // message layout and cipher semantics are unchanged; only the order the
-  // mask/randomizer values are drawn from rng differs from the old
-  // per-coordinate loop (all masks first, then all randomizers).
-  const size_t total = size_t{count} * dims;
-  // count comes off the wire: reject before reserving when the payload
-  // cannot possibly hold that many ciphers (>= 5 bytes each serialized).
-  if (total > reader.remaining() / 5) {
-    return AbortPeer(channel, Status::DataLoss("HDP payload truncated"),
-                     "hdp payload truncated");
+  Result<std::vector<BigInt>> ciphers =
+      ReadCiphers(reader, size_t{count} * dims, peer);
+  if (!ciphers.ok()) {
+    return AbortPeer(channel, ciphers.status(), "hdp ciphers invalid");
   }
-  std::vector<BigInt> ciphers;
-  ciphers.reserve(total);
-  for (size_t i = 0; i < total; ++i) {
-    PPD_ASSIGN_OR_RETURN(BigInt cipher, ReadBigInt(reader));
-    if (!peer.IsValidCiphertext(cipher)) {
-      return AbortPeer(channel, Status::DataLoss("HDP cipher invalid"),
-                       "hdp cipher invalid");
-    }
-    ciphers.push_back(std::move(cipher));
-  }
-  if (!reader.Done()) {
-    return AbortPeer(channel, Status::DataLoss("trailing HDP bytes"),
-                     "hdp trailing bytes");
-  }
-  std::vector<BigInt> masks;
-  masks.reserve(ciphers.size());
-  for (uint32_t k = 0; k < count; ++k) {
-    std::vector<BigInt> point_masks = ZeroSumMasks(rng, dims, n);
-    for (uint32_t j = 0; j < dims; ++j) {
-      masks.push_back(std::move(point_masks[j]));
-    }
-  }
-  // The scalar pattern repeats every dims entries, so index into dims
-  // pre-built BigInts instead of materializing count × dims copies.
-  std::vector<BigInt> x_scalars(dims);
-  for (uint32_t j = 0; j < dims; ++j) x_scalars[j] = BigInt(x[j]);
-  std::vector<BigInt> products(total);
-  ParallelFor(total, [&](size_t i) {
-    products[i] = peer.MulPlain(ciphers[i], x_scalars[i % dims]);
-  });
-  PPD_ASSIGN_OR_RETURN(std::vector<BigInt> mask_ciphers,
-                       peer.EncryptBatch(masks, rng));
-  std::vector<BigInt> blinded = peer.AddBatch(products, mask_ciphers);
+  // The Multiplication Protocol as the Helper for every responder point:
+  // E(y_kj)^{x_j} · E(r_kj), with masks summing to zero per point.
+  PPD_ASSIGN_OR_RETURN(
+      std::vector<BigInt> blinded,
+      MaskedProducts(peer, *ciphers, dims, std::span(&x, 1), rng));
   ByteWriter out;
   for (const BigInt& c : blinded) WriteBigInt(out, c);
   PPD_RETURN_IF_ERROR(SendMessage(channel, wire::kHdpResponse, out));
@@ -108,20 +52,13 @@ Result<size_t> HdpBatchDriver(Channel& channel, const SmcSession& session,
   // S_A = Σ x_j², then one comparison per responder point, batched so
   // backends with non-interactive rounds run their cryptography through
   // the Paillier batch APIs.
-  BigInt s_a;
-  for (int64_t c : x) s_a += BigInt(c) * BigInt(c);
-  const BigInt threshold(eps_squared);
-  std::vector<BigInt> xqs(count, s_a);
-  PPD_ASSIGN_OR_RETURN(std::vector<bool> cmp,
-                       comparator.QuerierCompareBatch(channel, xqs, threshold));
+  std::vector<BigInt> xqs(count, SquaredNorm(x));
+  PPD_ASSIGN_OR_RETURN(
+      std::vector<bool> cmp,
+      comparator.QuerierCompareBatch(channel, xqs, BigInt(eps_squared)));
   size_t in_range = 0;
-  if (bits != nullptr) bits->assign(count, false);
-  for (uint32_t k = 0; k < count; ++k) {
-    if (cmp[k]) {
-      ++in_range;
-      if (bits != nullptr) (*bits)[k] = true;
-    }
-  }
+  for (bool bit : cmp) in_range += bit ? 1 : 0;
+  if (bits != nullptr) *bits = std::move(cmp);
   return in_range;
 }
 
@@ -129,9 +66,6 @@ Status HdpBatchResponder(Channel& channel, const SmcSession& session,
                          SecureComparator& comparator, const Dataset& own,
                          SecureRng& rng, const std::vector<size_t>* subset,
                          bool permute) {
-  const PaillierContext& ctx = session.own_paillier_ctx();
-  const BigInt& n = ctx.pub().n;
-
   std::vector<size_t> order;
   if (subset != nullptr) {
     order = *subset;
@@ -146,23 +80,17 @@ Status HdpBatchResponder(Channel& channel, const SmcSession& session,
     order = std::move(shuffled);
   }
 
-  // Encrypt the whole |order| × dims coordinate matrix as one batch so the
-  // per-coordinate exponentiations fan across the thread pool. With a
-  // session randomizer pool the r^n factors were precomputed during
-  // network waits and the batch runs at online (multiplication-only) cost.
+  // The Receiver's step: the whole |order| × dims coordinate matrix as one
+  // batch (pooled randomizers when the session has a pool).
   const size_t dims = own.dims();
-  std::vector<BigInt> plain;
-  plain.reserve(order.size() * dims);
+  std::vector<int64_t> coords;
+  coords.reserve(order.size() * dims);
   for (size_t idx : order) {
     const std::vector<int64_t>& y = own.point(idx);
-    for (size_t j = 0; j < dims; ++j) plain.push_back(BigInt(y[j]));
+    coords.insert(coords.end(), y.begin(), y.end());
   }
-  std::vector<BigInt> cipher_matrix;
-  if (PaillierRandomizerPool* rpool = session.own_randomizer_pool()) {
-    PPD_ASSIGN_OR_RETURN(cipher_matrix, rpool->EncryptSignedBatch(plain));
-  } else {
-    PPD_ASSIGN_OR_RETURN(cipher_matrix, ctx.EncryptSignedBatch(plain, rng));
-  }
+  PPD_ASSIGN_OR_RETURN(std::vector<BigInt> cipher_matrix,
+                       EncryptCoordinates(session, coords, rng));
   ByteWriter ciphers;
   ciphers.PutU32(static_cast<uint32_t>(order.size()));
   ciphers.PutU32(static_cast<uint32_t>(dims));
@@ -172,182 +100,14 @@ Status HdpBatchResponder(Channel& channel, const SmcSession& session,
   PPD_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
                        ExpectMessage(channel, wire::kHdpResponse));
   ByteReader reader(payload);
-  std::vector<BigInt> response;
-  response.reserve(order.size() * dims);
-  for (size_t i = 0; i < order.size() * dims; ++i) {
-    PPD_ASSIGN_OR_RETURN(BigInt cipher, ReadBigInt(reader));
-    if (!ctx.IsValidCiphertext(cipher)) {
-      return AbortPeer(channel,
-                       Status::DataLoss("HDP response cipher invalid"),
-                       "hdp response cipher invalid");
-    }
-    response.push_back(std::move(cipher));
+  Result<std::vector<BigInt>> response =
+      ReadCiphers(reader, coords.size(), session.own_paillier_ctx());
+  if (!response.ok()) {
+    return AbortPeer(channel, response.status(), "hdp response invalid");
   }
-  if (!reader.Done()) {
-    return AbortPeer(channel, Status::DataLoss("trailing HDP response bytes"),
-                     "hdp response trailing bytes");
-  }
-  PPD_ASSIGN_OR_RETURN(std::vector<BigInt> us,
-                       session.own_paillier().DecryptBatch(response));
-  std::vector<BigInt> s_b(order.size());
-  for (size_t k = 0; k < order.size(); ++k) {
-    // u_kj = x_j·y_kj + r_kj; Σ_j u_kj = Σ_j x_j y_kj since Σ_j r_kj = 0.
-    BigInt sum_u;
-    for (size_t j = 0; j < dims; ++j) sum_u += us[k * dims + j];
-    const std::vector<int64_t>& y = own.point(order[k]);
-    BigInt sum_y2;
-    for (int64_t c : y) sum_y2 += BigInt(c) * BigInt(c);
-    s_b[k] = ctx.DecodeSigned((sum_y2 - BigInt(2) * sum_u).Mod(n));
-  }
-
+  PPD_ASSIGN_OR_RETURN(std::vector<BigInt> s_b,
+                       DistanceShares(session, *response, coords, dims));
   return comparator.PeerAssistBatch(channel, s_b);
-}
-
-namespace {
-
-/// Attribute classification for one arbitrary-partition record pair, from
-/// one party's perspective. Ownership masks are public, so both parties
-/// compute identical classifications.
-struct PairSplit {
-  std::vector<size_t> cross;  // attrs where the two values have different owners
-  int64_t local_part = 0;     // Σ (v1 - v2)² over attrs fully owned by me
-  int64_t cross_squares = 0;  // Σ a² over my halves of cross attrs
-};
-
-PairSplit SplitPair(const ArbitraryPartyView& own, size_t xi, size_t yi) {
-  PairSplit split;
-  for (size_t t = 0; t < own.dims; ++t) {
-    bool mine_x = own.owned[xi][t] != 0;
-    bool mine_y = own.owned[yi][t] != 0;
-    if (mine_x == mine_y) {
-      if (mine_x) {
-        int64_t d = own.values[xi][t] - own.values[yi][t];
-        split.local_part += d * d;
-      }
-      continue;
-    }
-    split.cross.push_back(t);
-    int64_t a = mine_x ? own.values[xi][t] : own.values[yi][t];
-    split.cross_squares += a * a;
-  }
-  return split;
-}
-
-}  // namespace
-
-Result<bool> ArbitraryPairDriver(Channel& channel, const SmcSession& session,
-                                 SecureComparator& comparator,
-                                 const ArbitraryPartyView& own, size_t xi,
-                                 size_t yi, int64_t eps_squared,
-                                 SecureRng& rng) {
-  const PaillierContext& peer = session.peer_paillier();
-  const BigInt& n = peer.pub().n;
-  PairSplit split = SplitPair(own, xi, yi);
-
-  if (!split.cross.empty()) {
-    PPD_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
-                         ExpectMessage(channel, wire::kArbPairCiphers));
-    ByteReader reader(payload);
-    PPD_ASSIGN_OR_RETURN(uint32_t count, reader.GetU32());
-    if (count != split.cross.size()) {
-      return AbortPeer(channel,
-                       Status::DataLoss("cross attribute count mismatch"),
-                       "arbitrary cross count mismatch");
-    }
-    // Same shape as HDP: collect the cross-attribute ciphers first, then
-    // run the three expensive passes (MulPlain, Encrypt, Add) as batches
-    // fanned across the thread pool. Message layout is unchanged; only the
-    // rng draw order differs from the per-attribute loop (all masks first,
-    // then all mask randomizers).
-    std::vector<BigInt> ciphers;
-    std::vector<BigInt> scalars;
-    ciphers.reserve(split.cross.size());
-    scalars.reserve(split.cross.size());
-    for (size_t c = 0; c < split.cross.size(); ++c) {
-      PPD_ASSIGN_OR_RETURN(BigInt cipher, ReadBigInt(reader));
-      if (!peer.IsValidCiphertext(cipher)) {
-        return AbortPeer(channel, Status::DataLoss("cross cipher invalid"),
-                         "arbitrary cross cipher invalid");
-      }
-      ciphers.push_back(std::move(cipher));
-      size_t t = split.cross[c];
-      int64_t a = own.owned[xi][t] != 0 ? own.values[xi][t]
-                                        : own.values[yi][t];
-      scalars.push_back(BigInt(a));
-    }
-    std::vector<BigInt> masks = ZeroSumMasks(rng, split.cross.size(), n);
-    std::vector<BigInt> products = peer.MulPlainBatch(ciphers, scalars);
-    PPD_ASSIGN_OR_RETURN(std::vector<BigInt> mask_ciphers,
-                         peer.EncryptBatch(masks, rng));
-    std::vector<BigInt> blinded = peer.AddBatch(products, mask_ciphers);
-    ByteWriter out;
-    for (const BigInt& c : blinded) WriteBigInt(out, c);
-    PPD_RETURN_IF_ERROR(SendMessage(channel, wire::kArbPairResponse, out));
-  }
-
-  BigInt s_alice = BigInt(split.local_part) + BigInt(split.cross_squares);
-  return comparator.QuerierCompare(channel, s_alice, BigInt(eps_squared));
-}
-
-Status ArbitraryPairResponder(Channel& channel, const SmcSession& session,
-                              SecureComparator& comparator,
-                              const ArbitraryPartyView& own, size_t xi,
-                              size_t yi, SecureRng& rng) {
-  const PaillierContext& ctx = session.own_paillier_ctx();
-  const BigInt& n = ctx.pub().n;
-  PairSplit split = SplitPair(own, xi, yi);
-
-  BigInt cross_part;
-  if (!split.cross.empty()) {
-    // Batch the cross-attribute encryptions (pooled factors when the
-    // session carries a randomizer pool) and the response decryptions;
-    // the per-message wire layout is unchanged.
-    std::vector<BigInt> plain;
-    plain.reserve(split.cross.size());
-    for (size_t t : split.cross) {
-      int64_t b = own.owned[xi][t] != 0 ? own.values[xi][t]
-                                        : own.values[yi][t];
-      plain.push_back(BigInt(b));
-    }
-    std::vector<BigInt> cipher_vec;
-    if (PaillierRandomizerPool* rpool = session.own_randomizer_pool()) {
-      PPD_ASSIGN_OR_RETURN(cipher_vec, rpool->EncryptSignedBatch(plain));
-    } else {
-      PPD_ASSIGN_OR_RETURN(cipher_vec, ctx.EncryptSignedBatch(plain, rng));
-    }
-    ByteWriter ciphers;
-    ciphers.PutU32(static_cast<uint32_t>(split.cross.size()));
-    for (const BigInt& c : cipher_vec) WriteBigInt(ciphers, c);
-    PPD_RETURN_IF_ERROR(SendMessage(channel, wire::kArbPairCiphers, ciphers));
-
-    PPD_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
-                         ExpectMessage(channel, wire::kArbPairResponse));
-    ByteReader reader(payload);
-    std::vector<BigInt> response;
-    response.reserve(split.cross.size());
-    for (size_t c = 0; c < split.cross.size(); ++c) {
-      PPD_ASSIGN_OR_RETURN(BigInt cipher, ReadBigInt(reader));
-      if (!ctx.IsValidCiphertext(cipher)) {
-        return AbortPeer(channel,
-                         Status::DataLoss("cross response cipher invalid"),
-                         "arbitrary cross response invalid");
-      }
-      response.push_back(std::move(cipher));
-    }
-    if (!reader.Done()) {
-      return AbortPeer(channel, Status::DataLoss("trailing pair bytes"),
-                       "arbitrary pair trailing bytes");
-    }
-    PPD_ASSIGN_OR_RETURN(std::vector<BigInt> us,
-                         session.own_paillier().DecryptBatch(response));
-    BigInt sum_u;
-    for (const BigInt& u : us) sum_u += u;
-    cross_part = ctx.DecodeSigned(
-        (BigInt(split.cross_squares) - BigInt(2) * sum_u).Mod(n));
-  }
-
-  BigInt s_bob = BigInt(split.local_part) + cross_part;
-  return comparator.PeerAssist(channel, s_bob);
 }
 
 }  // namespace ppdbscan

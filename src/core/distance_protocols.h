@@ -6,7 +6,6 @@
 
 #include "common/random.h"
 #include "common/status.h"
-#include "data/partitioners.h"
 #include "dbscan/dataset.h"
 #include "net/channel.h"
 #include "smc/comparator.h"
@@ -15,12 +14,12 @@
 namespace ppdbscan {
 
 /// HDP (§4.2), batched over all of the responder's points for one query
-/// point. Protocol content is exactly the paper's: per coordinate, one
-/// Multiplication Protocol run with zero-sum masks (the responder plays the
-/// Paillier "Alice" of Algorithm 2 and ends with x_j·y_j + r_j), followed
-/// by one secure comparison per point. Framing batches the m coordinates
-/// and the responder's points into single messages, which changes neither
-/// the ciphertext count nor who-learns-what.
+/// point: the batched Multiplication Protocol with zero-sum masks of
+/// smc/multiplication.h (the responder is the Receiver and ends with
+/// x_j·y_j + r_j per coordinate), followed by one secure comparison per
+/// point. Framing batches the m coordinates and the responder's points
+/// into single messages, which changes neither the ciphertext count nor
+/// who-learns-what.
 ///
 /// The responder fresh-encrypts its coordinates for every query and (by
 /// default) presents its points in a fresh random order — the permutation
@@ -45,22 +44,6 @@ Status HdpBatchResponder(Channel& channel, const SmcSession& session,
                          SecureRng& rng,
                          const std::vector<size_t>* subset = nullptr,
                          bool permute = true);
-
-/// §4.4 arbitrary-partition pair distance: decomposes (x, y) into
-/// same-owner attributes (local squared differences) and cross-owner
-/// attributes (per-attribute Multiplication Protocol with zero-sum masks,
-/// exactly HDP), then one secure comparison against eps². The driver is
-/// the Alice-side party and learns the bit.
-Result<bool> ArbitraryPairDriver(Channel& channel, const SmcSession& session,
-                                 SecureComparator& comparator,
-                                 const ArbitraryPartyView& own, size_t xi,
-                                 size_t yi, int64_t eps_squared,
-                                 SecureRng& rng);
-
-Status ArbitraryPairResponder(Channel& channel, const SmcSession& session,
-                              SecureComparator& comparator,
-                              const ArbitraryPartyView& own, size_t xi,
-                              size_t yi, SecureRng& rng);
 
 /// Shared helper: a uniformly random permutation of 0..n-1.
 std::vector<size_t> RandomPermutation(SecureRng& rng, size_t n);

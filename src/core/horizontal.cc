@@ -187,7 +187,7 @@ Result<bool> CoreTest(std::vector<Peer>& peers,
     }
     peer_total += count;
   }
-  return own_count + size_t{scale} * peer_total >= options.params.min_pts;
+  return CoreByCounts(own_count, peer_total, scale, options.params.min_pts);
 }
 
 /// This party's turn to scan its own points — the expansion skeleton, or

@@ -24,7 +24,9 @@ uint64_t ProtocolOptionsDigest(const ProtocolOptions& options) {
   canon.PutU8(static_cast<uint8_t>(options.comparator.kind));
   WriteBigInt(canon, options.comparator.magnitude_bound);
   canon.PutU64(static_cast<uint64_t>(options.comparator.blinding_bits));
-  canon.PutU32(static_cast<uint32_t>(options.comparator.ymp_prime_rounds));
+  // Former ymp_prime_rounds slot: YMPP always runs YmppOptions' 12 rounds;
+  // the constant keeps the digest (and the version-4 hello) unchanged.
+  canon.PutU32(12);
   canon.PutU64(static_cast<uint64_t>(options.comparator.max_batch_in_flight));
   canon.PutU8(static_cast<uint8_t>(options.mode));
   canon.PutU8(static_cast<uint8_t>(options.selection));

@@ -170,7 +170,7 @@ Result<DbscanResult> RunSievePlan(const Dataset& own,
   std::vector<std::vector<int64_t>> queries;
   for (size_t t = 0; t < unresolved.size(); ++t) {
     own_counts[t] = own_full_count(unresolved[t]);
-    rescue_core[t] = own_counts[t] >= params.min_pts;
+    rescue_core[t] = CoreByCounts(own_counts[t], 0, k, params.min_pts);
     if (!rescue_core[t]) {
       ask.push_back(t);
       queries.push_back(own.point(unresolved[t]));
@@ -186,7 +186,7 @@ Result<DbscanResult> RunSievePlan(const Dataset& own,
     for (size_t a = 0; a < ask.size(); ++a) {
       const size_t t = ask[a];
       rescue_core[t] =
-          own_counts[t] + size_t{k} * counts[a] >= params.min_pts;
+          CoreByCounts(own_counts[t], counts[a], k, params.min_pts);
     }
   }
   for (size_t t = 0; t < unresolved.size(); ++t) {

@@ -118,6 +118,15 @@ Dataset SubsetDataset(const Dataset& ds, const std::vector<size_t>& indices);
 void WriteBoundingBox(ByteWriter& out, const BoundingBox& box);
 Result<BoundingBox> ReadBoundingBox(ByteReader& reader, size_t dims);
 
+/// The count rule behind every basic-mode core decision: a point is core
+/// when own_count + scale · peer_count >= MinPts, where peer_count counts
+/// the peers' points within Eps and `scale` is 1 for full peer data, or
+/// the sieve stride k when the peers answer over their 1-in-k subsets.
+inline bool CoreByCounts(size_t own_count, size_t peer_count, uint32_t scale,
+                         size_t min_pts) {
+  return own_count + size_t{scale} * peer_count >= min_pts;
+}
+
 /// Protocol callouts of the sieve engine. The engine itself is pure local
 /// computation; everything encrypted goes through these two hooks, so the
 /// same engine drives the two-party run (one peer link) and the
@@ -126,7 +135,7 @@ struct SievePeerHooks {
   /// Encrypted core test for one sieved point. `own_full` is the point's
   /// neighbour count over the FULL local dataset (free plaintext);
   /// implementations fold in the peers' sieved counts — basic mode:
-  /// own_full + k · Σ peer_sieved_count >= MinPts.
+  /// CoreByCounts(own_full, Σ peer_sieved_count, k, MinPts).
   std::function<Result<bool>(const std::vector<int64_t>& point,
                              size_t own_full)>
       core_test;

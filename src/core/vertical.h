@@ -17,12 +17,16 @@ namespace ppdbscan {
 /// lockstep and both end with the full labelling (the prescribed output,
 /// since every record is split between them).
 ///
-/// Per record pair, each party computes its local partial squared distance
-/// and protocol VDP reduces the Eps test to one secure comparison
-/// (S_A + S_B <= Eps²). The driver (Alice by convention) learns each bit
-/// and announces the neighbour set, which both parties need to continue
-/// the joint expansion — precisely Theorem 10's disclosure ("the number of
-/// points in the neighborhood").
+/// Vertical data is the arbitrary partition of §4.4 with no cross-owned
+/// attribute, so this runs core/arbitrary.h's scan over an all-owned view
+/// of `own_columns`. Per record pair, each party's local
+/// partial squared distance is its share, and protocol VDP reduces the
+/// Eps test to one secure comparison (S_A + S_B <= Eps²). The driver
+/// (Alice by convention) learns each bit and announces the neighbour set,
+/// which both parties need to continue the joint expansion — precisely
+/// Theorem 10's disclosure ("the number of points in the neighborhood").
+/// With ProtocolOptions::vdp_local_pruning (E9) the scan first exchanges
+/// per-query prune bitmaps.
 ///
 /// Output is bit-for-bit identical to centralized DBSCAN on the joined
 /// records (tested in tests/vertical_test.cc).

@@ -26,7 +26,6 @@ class YmppComparator : public SecureComparator {
     ymp_options_.domain =
         2 * static_cast<uint64_t>(bound_.MagnitudeU64()) + 3;
     ymp_options_.report_result = false;
-    ymp_options_.prime_rounds = options.ymp_prime_rounds;
   }
 
   std::string name() const override { return "ymp"; }
@@ -178,12 +177,8 @@ class BlindedPaillierComparator : public SecureComparator {
       }
       ms[i] = (xqs[i] - threshold - BigInt(1)).Mod(ctx.pub().n);
     }
-    std::vector<BigInt> ciphers;
-    if (PaillierRandomizerPool* rpool = session_.own_randomizer_pool()) {
-      PPD_ASSIGN_OR_RETURN(ciphers, rpool->EncryptBatch(ms));
-    } else {
-      PPD_ASSIGN_OR_RETURN(ciphers, ctx.EncryptBatch(ms, rng_));
-    }
+    PPD_ASSIGN_OR_RETURN(std::vector<BigInt> ciphers,
+                         session_.EncryptOwnBatch(ms, rng_));
     for (const BigInt& cipher : ciphers) {
       ByteWriter out;
       WriteBigInt(out, cipher);

@@ -168,8 +168,6 @@ struct ComparatorOptions {
   BigInt magnitude_bound = BigInt(1) << 20;
   /// Bit width of the multiplier ρ in the blinded backend.
   size_t blinding_bits = 40;
-  /// Miller-Rabin rounds for YMPP's separating prime.
-  int ymp_prime_rounds = 12;
   /// Cap on comparisons in flight per batched round (0 = unlimited). The
   /// batched blinded backend sends all queries before reading any answer;
   /// on SocketChannel an unbounded batch could fill both TCP buffers and

@@ -1,10 +1,9 @@
 #include "smc/dot_product.h"
 
-#include <algorithm>
-
 #include "bigint/codec.h"
 #include "common/thread_pool.h"
 #include "net/message.h"
+#include "smc/multiplication.h"
 
 namespace ppdbscan {
 
@@ -35,19 +34,8 @@ Result<std::vector<BigInt>> RunDotProductReceiver(
   if (expected_rows != 0 && rows != expected_rows) {
     return Status::DataLoss("dot product row count mismatch");
   }
-  std::vector<BigInt> ciphers;
-  // rows is wire-controlled; cap the reserve by what the payload can hold.
-  ciphers.reserve(std::min<size_t>(rows, reader.remaining() / 5));
-  for (uint32_t i = 0; i < rows; ++i) {
-    PPD_ASSIGN_OR_RETURN(BigInt cipher, ReadBigInt(reader));
-    if (!ctx.IsValidCiphertext(cipher)) {
-      return Status::DataLoss("dot product response out of range");
-    }
-    ciphers.push_back(std::move(cipher));
-  }
-  if (!reader.Done()) {
-    return Status::DataLoss("trailing bytes in dot product response");
-  }
+  PPD_ASSIGN_OR_RETURN(std::vector<BigInt> ciphers,
+                       ReadCiphers(reader, rows, ctx));
   return session.own_paillier().DecryptBatch(ciphers);
 }
 
@@ -60,18 +48,10 @@ Result<std::vector<BigInt>> RunDotProductHelper(
                        ExpectMessage(channel, kDotAlpha));
   ByteReader reader(payload);
   PPD_ASSIGN_OR_RETURN(uint32_t alpha_len, reader.GetU32());
-  std::vector<BigInt> alpha_ciphers;
-  alpha_ciphers.reserve(alpha_len);
-  for (uint32_t t = 0; t < alpha_len; ++t) {
-    PPD_ASSIGN_OR_RETURN(BigInt cipher, ReadBigInt(reader));
-    if (!peer.IsValidCiphertext(cipher)) {
-      return Status::DataLoss("alpha cipher out of range");
-    }
-    alpha_ciphers.push_back(std::move(cipher));
-  }
-  if (!reader.Done()) {
-    return Status::DataLoss("trailing bytes in dot product alpha");
-  }
+  // alpha_len is the peer's claim: the decoder bounds it by the payload
+  // before reserving anything.
+  PPD_ASSIGN_OR_RETURN(std::vector<BigInt> alpha_ciphers,
+                       ReadCiphers(reader, alpha_len, peer));
 
   for (const std::vector<BigInt>& row : rows) {
     if (row.size() != alpha_ciphers.size()) {

@@ -1,10 +1,11 @@
 #include "smc/membership.h"
 
 #include <algorithm>
+#include <span>
 
 #include "bigint/codec.h"
-#include "common/thread_pool.h"
 #include "net/message.h"
+#include "smc/multiplication.h"
 
 namespace ppdbscan {
 
@@ -13,19 +14,6 @@ namespace {
 constexpr uint16_t kMshBegin = 0x0411;     // Driver -> Responder: Q, dims
 constexpr uint16_t kMshCiphers = 0x0412;   // Responder -> Driver: E(y) matrix
 constexpr uint16_t kMshResponse = 0x0413;  // Driver -> Responder: masked products
-
-/// Zero-sum masks over Z_n (the HDP masking step): m uniform values with
-/// Σr_j = 0 (mod n).
-std::vector<BigInt> ZeroSumMasks(SecureRng& rng, size_t m, const BigInt& n) {
-  std::vector<BigInt> masks(m);
-  BigInt sum;
-  for (size_t j = 0; j + 1 < m; ++j) {
-    masks[j] = BigInt::RandomBelow(rng, n);
-    sum += masks[j];
-  }
-  masks[m - 1] = (-sum).Mod(n);
-  return masks;
-}
 
 /// Number of queries per flight so one kMshResponse frame carries at most
 /// kMshMaxCiphersPerFlight ciphers. Both sides derive this from the public
@@ -58,8 +46,6 @@ Result<std::vector<size_t>> MembershipBatchDriver(
   if (q_count == 0) return counts;
 
   const PaillierContext& peer = session.peer_paillier();
-  const BigInt& n = peer.pub().n;
-
   PPD_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
                        ExpectMessage(channel, kMshCiphers));
   ByteReader reader(payload);
@@ -71,76 +57,31 @@ Result<std::vector<size_t>> MembershipBatchDriver(
                      Status::DataLoss("membership dimension mismatch"),
                      "membership dimension mismatch");
   }
-  const size_t per_query = size_t{count} * dims;
-  if (per_query > reader.remaining() / 5) {
-    return AbortPeer(channel,
-                     Status::DataLoss("membership cipher payload truncated"),
-                     "membership payload truncated");
-  }
-  std::vector<BigInt> ciphers;
-  ciphers.reserve(per_query);
-  for (size_t i = 0; i < per_query; ++i) {
-    PPD_ASSIGN_OR_RETURN(BigInt cipher, ReadBigInt(reader));
-    if (!peer.IsValidCiphertext(cipher)) {
-      return AbortPeer(channel, Status::DataLoss("membership cipher invalid"),
-                       "membership cipher invalid");
-    }
-    ciphers.push_back(std::move(cipher));
-  }
-  if (!reader.Done()) {
-    return AbortPeer(channel,
-                     Status::DataLoss("trailing membership cipher bytes"),
-                     "membership trailing bytes");
-  }
-
-  // S_A per query, reused across that query's comparisons.
-  std::vector<BigInt> s_a(q_count);
-  for (size_t q = 0; q < q_count; ++q) {
-    for (int64_t c : queries[q]) s_a[q] += BigInt(c) * BigInt(c);
+  Result<std::vector<BigInt>> ciphers =
+      ReadCiphers(reader, size_t{count} * dims, peer);
+  if (!ciphers.ok()) {
+    return AbortPeer(channel, ciphers.status(), "membership ciphers invalid");
   }
 
   const BigInt threshold(eps_squared);
   const size_t flight = QueriesPerFlight(count, dims);
   for (size_t q0 = 0; q0 < q_count; q0 += flight) {
     const size_t qn = std::min(flight, q_count - q0);
-    const size_t total = qn * per_query;
-    // Masks drawn sequentially (rng is not thread-safe), products fanned
-    // across the pool — the HDP batch pattern with the responder's one
-    // cipher matrix reused per query.
-    std::vector<BigInt> masks;
-    masks.reserve(total);
-    for (size_t qi = 0; qi < qn; ++qi) {
-      for (uint32_t k = 0; k < count; ++k) {
-        std::vector<BigInt> point_masks = ZeroSumMasks(rng, dims, n);
-        for (size_t j = 0; j < dims; ++j) {
-          masks.push_back(std::move(point_masks[j]));
-        }
-      }
-    }
-    std::vector<BigInt> scalars(qn * dims);
-    for (size_t qi = 0; qi < qn; ++qi) {
-      for (size_t j = 0; j < dims; ++j) {
-        scalars[qi * dims + j] = BigInt(queries[q0 + qi][j]);
-      }
-    }
-    std::vector<BigInt> products(total);
-    ParallelFor(total, [&](size_t i) {
-      const size_t qi = i / per_query;
-      const size_t j = i % dims;
-      products[i] = peer.MulPlain(ciphers[i % per_query],
-                                  scalars[qi * dims + j]);
-    });
-    PPD_ASSIGN_OR_RETURN(std::vector<BigInt> mask_ciphers,
-                         peer.EncryptBatch(masks, rng));
-    std::vector<BigInt> blinded = peer.AddBatch(products, mask_ciphers);
+    // The HDP Helper step with the responder's one cipher matrix reused
+    // for every query of the flight.
+    PPD_ASSIGN_OR_RETURN(
+        std::vector<BigInt> blinded,
+        MaskedProducts(peer, *ciphers, dims,
+                       std::span(queries).subspan(q0, qn), rng));
     ByteWriter out;
     for (const BigInt& c : blinded) WriteBigInt(out, c);
     PPD_RETURN_IF_ERROR(SendMessage(channel, kMshResponse, out));
 
+    // S_A per query, repeated across that query's comparisons.
     std::vector<BigInt> xqs;
     xqs.reserve(qn * count);
     for (size_t qi = 0; qi < qn; ++qi) {
-      for (uint32_t k = 0; k < count; ++k) xqs.push_back(s_a[q0 + qi]);
+      xqs.insert(xqs.end(), count, SquaredNorm(queries[q0 + qi]));
     }
     PPD_ASSIGN_OR_RETURN(
         std::vector<bool> bits,
@@ -167,8 +108,6 @@ Status MembershipBatchResponder(
   }
   if (q_count == 0) return Status::Ok();
 
-  const PaillierContext& ctx = session.own_paillier_ctx();
-  const BigInt& n = ctx.pub().n;
   const size_t count = points.size();
   const size_t dims = count == 0 ? q_dims : points[0].size();
   if (count != 0 && q_dims != dims) {
@@ -178,17 +117,13 @@ Status MembershipBatchResponder(
   }
 
   // Encrypt the coordinate matrix ONCE; every query reuses it.
-  std::vector<BigInt> plain;
-  plain.reserve(count * dims);
+  std::vector<int64_t> coords;
+  coords.reserve(count * dims);
   for (const std::vector<int64_t>& y : points) {
-    for (size_t j = 0; j < dims; ++j) plain.push_back(BigInt(y[j]));
+    coords.insert(coords.end(), y.begin(), y.end());
   }
-  std::vector<BigInt> cipher_matrix;
-  if (PaillierRandomizerPool* rpool = session.own_randomizer_pool()) {
-    PPD_ASSIGN_OR_RETURN(cipher_matrix, rpool->EncryptSignedBatch(plain));
-  } else {
-    PPD_ASSIGN_OR_RETURN(cipher_matrix, ctx.EncryptSignedBatch(plain, rng));
-  }
+  PPD_ASSIGN_OR_RETURN(std::vector<BigInt> cipher_matrix,
+                       EncryptCoordinates(session, coords, rng));
   ByteWriter ciphers;
   ciphers.PutU32(static_cast<uint32_t>(count));
   ciphers.PutU32(static_cast<uint32_t>(dims));
@@ -196,47 +131,22 @@ Status MembershipBatchResponder(
   PPD_RETURN_IF_ERROR(SendMessage(channel, kMshCiphers, ciphers));
   if (count == 0) return Status::Ok();
 
-  std::vector<BigInt> sum_y2(count);
-  for (size_t k = 0; k < count; ++k) {
-    for (int64_t c : points[k]) sum_y2[k] += BigInt(c) * BigInt(c);
-  }
-
-  const size_t per_query = count * dims;
   const size_t flight = QueriesPerFlight(count, dims);
   for (size_t q0 = 0; q0 < q_count; q0 += flight) {
     const size_t qn = std::min(flight, size_t{q_count} - q0);
-    const size_t total = qn * per_query;
     PPD_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
                          ExpectMessage(channel, kMshResponse));
     ByteReader reader(payload);
-    std::vector<BigInt> response;
-    response.reserve(total);
-    for (size_t i = 0; i < total; ++i) {
-      PPD_ASSIGN_OR_RETURN(BigInt cipher, ReadBigInt(reader));
-      if (!ctx.IsValidCiphertext(cipher)) {
-        return AbortPeer(
-            channel, Status::DataLoss("membership response cipher invalid"),
-            "membership response cipher invalid");
-      }
-      response.push_back(std::move(cipher));
+    Result<std::vector<BigInt>> response =
+        ReadCiphers(reader, qn * coords.size(), session.own_paillier_ctx());
+    if (!response.ok()) {
+      return AbortPeer(channel, response.status(),
+                       "membership response invalid");
     }
-    if (!reader.Done()) {
-      return AbortPeer(channel,
-                       Status::DataLoss("trailing membership response bytes"),
-                       "membership response trailing bytes");
-    }
-    PPD_ASSIGN_OR_RETURN(std::vector<BigInt> us,
-                         session.own_paillier().DecryptBatch(response));
-    std::vector<BigInt> s_b(qn * count);
+    PPD_ASSIGN_OR_RETURN(
+        std::vector<BigInt> s_b,
+        DistanceShares(session, *response, coords, dims));
     for (size_t qi = 0; qi < qn; ++qi) {
-      for (size_t k = 0; k < count; ++k) {
-        BigInt sum_u;
-        for (size_t j = 0; j < dims; ++j) {
-          sum_u += us[qi * per_query + k * dims + j];
-        }
-        s_b[qi * count + k] =
-            ctx.DecodeSigned((sum_y2[k] - BigInt(2) * sum_u).Mod(n));
-      }
       // Fresh share permutation PER QUERY: the driver's query share is the
       // same for all of a query's comparisons, so shuffling our shares
       // permutes its result bits without changing the count — it cannot

@@ -18,12 +18,13 @@ namespace ppdbscan {
 /// lie within sqrt(eps_squared), and nothing else about their values. The
 /// responder learns Q and P (sizes only).
 ///
-/// Cryptographically this is the paper's HDP (Multiplication Protocol with
-/// zero-sum masks + one secure comparison per pair), restructured so the
-/// responder encrypts its P × dims coordinate matrix ONCE and every query
-/// reuses the ciphertexts — Paillier is semantically secure, so ciphertext
-/// reuse toward the non-key-holder leaks nothing, and the encryption bill
-/// drops from Q·P·dims to P·dims. Large batches are split into flights of
+/// Cryptographically this is the paper's HDP: the batched Multiplication
+/// Protocol with zero-sum masks of smc/multiplication.h, then one secure
+/// comparison per pair. The responder encrypts its P × dims coordinate
+/// matrix ONCE and the driver's helper step reuses it for every query of
+/// a flight — Paillier is semantically secure, so ciphertext reuse toward
+/// the non-key-holder leaks nothing, and the encryption bill drops from
+/// Q·P·dims to P·dims. Large batches are split into flights of
 /// at most kMshMaxCiphersPerFlight masked products per message (both sides
 /// derive the same split from the public sizes), keeping frames bounded.
 ///

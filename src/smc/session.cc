@@ -12,6 +12,12 @@ void SmcSession::PrewarmRandomizers(size_t count) const {
   if (own_pool_ != nullptr) own_pool_->Reserve(count);
 }
 
+Result<std::vector<BigInt>> SmcSession::EncryptOwnBatch(
+    const std::vector<BigInt>& ms, SecureRng& rng) const {
+  if (own_pool_ != nullptr) return own_pool_->EncryptBatch(ms);
+  return own_paillier_ctx().EncryptBatch(ms, rng);
+}
+
 size_t SmcSession::AdaptRandomizerPool() const {
   if (own_pool_ == nullptr) return 0;
   return own_pool_->AdaptTarget(1, kMaxAdaptivePoolTarget);

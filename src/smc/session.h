@@ -58,12 +58,19 @@ class SmcSession {
   const RsaPublicOps& peer_rsa() const { return *peer_rsa_; }
 
   /// Background randomizer pool for this party's own Paillier key, or null
-  /// when SmcOptions::randomizer_pool_target is 0. Protocol responders use
-  /// it to encrypt with factors precomputed during network waits instead of
-  /// cold randomness. Thread-safe; drawing a factor consumes it forever.
+  /// when SmcOptions::randomizer_pool_target is 0. EncryptOwnBatch draws
+  /// from it, so protocol rounds encrypt with factors precomputed during
+  /// network waits instead of cold randomness. Thread-safe; drawing a
+  /// factor consumes it forever.
   PaillierRandomizerPool* own_randomizer_pool() const {
     return own_pool_.get();
   }
+
+  /// Encrypts `ms` (each in [0, n)) under this party's own key: with
+  /// pooled factors when the session carries a randomizer pool, else with
+  /// cold randomness from `rng`. The one place that choice is made.
+  Result<std::vector<BigInt>> EncryptOwnBatch(const std::vector<BigInt>& ms,
+                                              SecureRng& rng) const;
 
   /// Job-metadata pre-warm hook: asks the randomizer pool (when present) to
   /// build `count` encryption factors in the background, beyond the fixed

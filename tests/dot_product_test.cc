@@ -2,7 +2,43 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
+#include "net/memory_channel.h"
+#include "net/message.h"
 #include "test_util.h"
+
+namespace ppdbscan {
+namespace {
+
+// Largest single operator-new request made while armed. The hostile-claim
+// tests below arm it around one protocol call to show that no allocation
+// is sized by a count the peer merely claims.
+std::atomic<bool> g_track_allocs{false};
+std::atomic<size_t> g_largest_alloc{0};
+
+}  // namespace
+}  // namespace ppdbscan
+
+void* operator new(std::size_t size) {
+  if (ppdbscan::g_track_allocs.load(std::memory_order_relaxed)) {
+    size_t seen = ppdbscan::g_largest_alloc.load();
+    while (size > seen &&
+           !ppdbscan::g_largest_alloc.compare_exchange_weak(seen, size)) {
+    }
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+// Out of line, so the compiler never pairs an inlined free() with a
+// new-expression at a call site (a -Wmismatched-new-delete false positive
+// for replaced allocation functions).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace ppdbscan {
 namespace {
@@ -133,6 +169,32 @@ TEST_F(DotProductTest, EmptyAlphaAborts) {
           });
   EXPECT_EQ(u.status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(v.status().code(), StatusCode::kAborted);
+}
+
+/// A scripted enhanced-mode peer sends the Helper a bare 4-byte kDotAlpha
+/// frame claiming `claim` ciphers with nothing behind them.
+void ExpectAlphaClaimRejected(const SmcSession& helper_session,
+                              SecureRng& rng, uint32_t claim) {
+  constexpr uint16_t kDotAlphaTag = 0x0201;  // smc/dot_product.cc
+  auto [peer_end, helper_end] = MemoryChannel::CreatePair();
+  ByteWriter alpha;
+  alpha.PutU32(claim);
+  ASSERT_TRUE(SendMessage(*peer_end, kDotAlphaTag, alpha).ok());
+  g_largest_alloc = 0;
+  g_track_allocs = true;
+  Result<std::vector<BigInt>> masks =
+      RunDotProductHelper(*helper_end, helper_session, {{BigInt(1)}}, {}, rng);
+  g_track_allocs = false;
+  EXPECT_EQ(masks.status().code(), StatusCode::kDataLoss) << masks.status();
+  EXPECT_LT(g_largest_alloc.load(), size_t{1} << 16);
+}
+
+TEST_F(DotProductTest, HelperRejectsAlphaClaimOf2Pow28) {
+  ExpectAlphaClaimRejected(*pair_->bob, *pair_->bob_rng, uint32_t{1} << 28);
+}
+
+TEST_F(DotProductTest, HelperRejectsAlphaClaimOfU32Max) {
+  ExpectAlphaClaimRejected(*pair_->bob, *pair_->bob_rng, 0xFFFFFFFFu);
 }
 
 }  // namespace

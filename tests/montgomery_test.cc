@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "bigint/bigint.h"
+#include "bigint/ifma.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 
@@ -187,14 +188,14 @@ TEST(MontgomeryTest, OverWideOperandsClampToModulusWidth) {
   }
 }
 
-// ExpBatch must be bit-identical to per-element Exp whichever engine the
-// dispatcher picks (AVX-512 IFMA or the lockstep fallback). The ctest
-// engine-forced variants re-run this whole binary with
-// PPDBSCAN_EXP_ENGINE pinned, so every engine the host can execute faces
-// this differential directly.
+// ExpBatch must be bit-identical to per-element Exp whichever path the
+// dispatcher picks: the AVX-512 IFMA engine on hosts that have it, or
+// scalar Exp per element. The 5120-bit modulus lies above the IFMA
+// engine's digit cap, so IFMA hosts exercise the fallback too (with a
+// short exponent to keep it quick).
 TEST(MontgomeryTest, ExpBatchMatchesScalarExp) {
   SecureRng rng(40);
-  for (size_t bits : {64u, 256u, 1024u}) {
+  for (size_t bits : {64u, 256u, 1024u, 5120u}) {
     BigInt mod = BigInt::RandomBits(rng, bits) + BigInt(3);
     if (mod.IsEven()) mod += BigInt(1);
     Result<MontgomeryCtx> ctx = MontgomeryCtx::Create(mod);
@@ -204,7 +205,7 @@ TEST(MontgomeryTest, ExpBatchMatchesScalarExp) {
     // scalar Exp inside the dispatcher).
     std::vector<BigInt> bases;
     for (int i = 0; i < 11; ++i) bases.push_back(BigInt::RandomBelow(rng, mod));
-    const BigInt exp = BigInt::RandomBits(rng, bits);
+    const BigInt exp = BigInt::RandomBits(rng, bits > 1024 ? 20 : bits);
     const std::vector<BigInt> out = ctx->ExpBatch(bases, exp);
     ASSERT_EQ(out.size(), bases.size());
     for (size_t i = 0; i < bases.size(); ++i) {
@@ -213,6 +214,15 @@ TEST(MontgomeryTest, ExpBatchMatchesScalarExp) {
     }
   }
 }
+
+#if defined(PPDBSCAN_REQUIRE_IFMA_ENGINE)
+TEST(MontgomeryTest, IfmaEngineAvailableOnThisHost) {
+  // The configure-time probe ran AVX-512 IFMA on the build host, so ExpBatch
+  // must dispatch to the engine — if it silently vanished from the build,
+  // this fails rather than letting the scalar fallback mask it.
+  EXPECT_TRUE(ifma::Available());
+}
+#endif
 
 TEST(MontgomeryTest, ExpBatchWithThreadPoolMatchesScalarExp) {
   SecureRng rng(41);

@@ -65,9 +65,6 @@ class BigInt {
   size_t BitLength() const;
   /// Bit `i` (little-endian) of the magnitude.
   bool TestBit(size_t i) const;
-  /// Number of limbs in the magnitude (implementation detail exposed for
-  /// benchmarks and tests).
-  size_t LimbCount() const { return limbs_.size(); }
 
   /// True iff the magnitude fits in a uint64_t.
   bool FitsU64() const;

@@ -112,7 +112,10 @@ void Amm(size_t K, const uint64_t* n52, uint64_t k0, const uint64_t* A,
     __m512i x = _mm512_madd52lo_epu64(t[0], va, vb0);
     const __m512i vm = _mm512_madd52lo_epu64(zero, x, k0v);
     x = _mm512_madd52lo_epu64(x, vm, vn0);
-    const __m512i carry = _mm512_srli_epi64(x, kDigitBits);
+    // Shifts use the full-mask maskz form: the same lanes as
+    // _mm512_srli_epi64, without its undefined passthrough operand, which
+    // GCC 12 flags as maybe-uninitialized.
+    const __m512i carry = _mm512_maskz_srli_epi64(0xFF, x, kDigitBits);
     // Remaining digits, shifted down one slot as they complete (the /2^52
     // of the round). Each new t[j-1] = old t[j] + hi halves of digit j-1's
     // products + lo halves of digit j's.
@@ -143,7 +146,7 @@ void Amm(size_t K, const uint64_t* n52, uint64_t k0, const uint64_t* A,
   __m512i c = zero;
   for (size_t j = 0; j < K; ++j) {
     const __m512i v = _mm512_add_epi64(t[j], c);
-    c = _mm512_srli_epi64(v, kDigitBits);
+    c = _mm512_maskz_srli_epi64(0xFF, v, kDigitBits);
     _mm512_storeu_si512(out + j * kIfmaLanes, _mm512_and_epi64(v, mask));
   }
   PPD_CHECK(_mm512_cmpneq_epu64_mask(c, zero) == 0);

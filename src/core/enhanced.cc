@@ -45,9 +45,8 @@ Result<bool> EnhancedCoreTestDriver(Channel& channel,
                                     const std::vector<int64_t>& x,
                                     int64_t k_star, int64_t eps_squared,
                                     SelectionAlgorithm selection,
-                                    size_t share_mask_bits, SecureRng& rng,
+                                    SecureRng& rng,
                                     uint64_t* selection_comparisons) {
-  (void)share_mask_bits;  // driver-side shares come back already masked
   // Step 1: secret-share Dist²(x, B_k) for every responder point.
   PPD_ASSIGN_OR_RETURN(
       std::vector<BigInt> u,

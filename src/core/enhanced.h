@@ -36,14 +36,15 @@ namespace ppdbscan {
 
 /// Driver side. `k_star` may be <= 0 (core regardless of the peer: the
 /// protocol short-circuits after the share exchange) or > peer count
-/// (cannot be core). Returns the core bit.
+/// (cannot be core). Returns the core bit. The driver's shares come back
+/// already masked, so only the responder takes `share_mask_bits`.
 Result<bool> EnhancedCoreTestDriver(Channel& channel,
                                     const SmcSession& session,
                                     SecureComparator& comparator,
                                     const std::vector<int64_t>& x,
                                     int64_t k_star, int64_t eps_squared,
                                     SelectionAlgorithm selection,
-                                    size_t share_mask_bits, SecureRng& rng,
+                                    SecureRng& rng,
                                     uint64_t* selection_comparisons = nullptr);
 
 /// Responder side: supplies its (permuted) points as dot-product rows and

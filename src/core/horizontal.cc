@@ -166,8 +166,7 @@ Result<bool> CoreTest(std::vector<Peer>& peers,
           bool core,
           EnhancedCoreTestDriver(*peer.channel, *peer.session,
                                  *peer.comparator, point, k_star, eps_squared,
-                                 options.selection, options.share_mask_bits,
-                                 rng, &comparisons));
+                                 options.selection, rng, &comparisons));
       if (selection_comparisons != nullptr) {
         *selection_comparisons += comparisons;
       }

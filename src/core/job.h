@@ -98,15 +98,10 @@ struct RunOutcome {
     double total_seconds = 0;
   };
   Timings timings;
-
-  /// Serve-mode only: a per-mesh-link health snapshot taken when the job
-  /// finished (empty for one-shot PartyRuntime runs). Counters are
-  /// cumulative over the server's lifetime, not per job.
-  std::vector<LinkHealth> link_health;
 };
 
-/// One party's long-lived protocol endpoint: owns (or borrows) the channel
-/// set, the established SMC session(s), and this party's rng. Sessions are
+/// One party's long-lived protocol endpoint: borrows the channel set and
+/// owns the established SMC session(s) and this party's rng. Sessions are
 /// established once at Connect time and REUSED across every subsequent
 /// Run, amortizing Paillier/RSA key generation over repeated jobs on one
 /// connection. Each Run opens with a versioned config-negotiation round,
@@ -114,11 +109,14 @@ struct RunOutcome {
 /// with a descriptive kFailedPrecondition on both sides instead of
 /// desyncing or hanging mid-protocol.
 ///
-/// Typical two-party deployment (see examples/tcp_parties.cc):
+/// Typical two-party deployment; the caller keeps the channel alive for
+/// the runtime's lifetime (examples/tcp_parties.cc shows the N-party
+/// ConnectMesh form):
 ///
-///     auto channel = SocketChannel::Connect(host, port);
+///     PPD_ASSIGN_OR_RETURN(std::unique_ptr<SocketChannel> channel,
+///                          SocketChannel::Connect(host, port));
 ///     PPD_ASSIGN_OR_RETURN(PartyRuntime runtime,
-///         PartyRuntime::Connect(std::move(*channel), SecureRng()));
+///                          PartyRuntime::Connect(*channel, SecureRng()));
 ///     PPD_ASSIGN_OR_RETURN(RunOutcome outcome, runtime.Run(job));
 ///
 /// Not thread-safe; one runtime per party thread.
@@ -129,11 +127,6 @@ class PartyRuntime {
   /// parties must call Connect concurrently). Channel statistics are reset
   /// afterwards so per-job stats exclude key setup.
   static Result<PartyRuntime> Connect(Channel& channel, SecureRng rng,
-                                      const SmcOptions& smc = {});
-
-  /// Owning variant: the runtime keeps the channel alive until destroyed.
-  static Result<PartyRuntime> Connect(std::unique_ptr<Channel> channel,
-                                      SecureRng rng,
                                       const SmcOptions& smc = {});
 
   /// Multi-party runtime over a full mesh: links[j] is the channel to party
@@ -214,7 +207,6 @@ class PartyRuntime {
   bool mesh_ = false;
   size_t index_ = 0;    // mesh slot; two-party: 0 = alice convention unused
   size_t parties_ = 2;  // party count (mesh); 2 for two-party runtimes
-  std::vector<std::unique_ptr<Channel>> owned_channels_;
   std::vector<Channel*> links_;  // two-party: one entry; mesh: size P
   // Parallel to links_. shared_ptr so AdoptMesh runtimes can reuse the
   // key material established by an earlier ConnectMesh.

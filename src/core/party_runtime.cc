@@ -270,22 +270,6 @@ Result<PartyRuntime> PartyRuntime::Connect(Channel& channel, SecureRng rng,
   return runtime;
 }
 
-Result<PartyRuntime> PartyRuntime::Connect(std::unique_ptr<Channel> channel,
-                                           SecureRng rng,
-                                           const SmcOptions& smc) {
-  if (channel == nullptr) {
-    return Status::InvalidArgument("PartyRuntime::Connect needs a channel");
-  }
-  Result<PartyRuntime> runtime = Connect(*channel, std::move(rng), smc);
-  if (!runtime.ok()) {
-    // Unblock a peer waiting in Recv before the channel is destroyed.
-    channel->Close();
-    return runtime.status();
-  }
-  runtime->owned_channels_.push_back(std::move(channel));
-  return runtime;
-}
-
 Result<PartyRuntime> PartyRuntime::ConnectMesh(
     const std::vector<Channel*>& links, size_t index, SecureRng rng,
     const SmcOptions& smc) {
@@ -489,17 +473,11 @@ Result<RunOutcome> PartyRuntime::Run(const ClusteringJob& job) {
     // Failure containment: tell every peer why this party is bailing (best
     // effort — a dead link just drops the frame). A peer blocked in a
     // protocol round then fails kAborted immediately instead of running
-    // out its own deadline.
+    // out its own deadline, and classifies it on the frame's origin byte.
     const std::string reason = outcome.status().ToString();
-    std::vector<uint8_t> payload;
-    payload.reserve(reason.size() + 1);
-    // Leading origin byte: peers classify the abort (retryable or not) on
-    // this structured code, never by grepping the reason text.
-    payload.push_back(AbortOriginCode(outcome.status()));
-    payload.insert(payload.end(), reason.begin(), reason.end());
     for (size_t j = 0; j < links_.size(); ++j) {
       if (mesh_ && j == index_) continue;
-      (void)SendMessage(*links_[j], kAbortMessageType, payload);
+      (void)AbortPeer(*links_[j], outcome.status(), reason);
     }
   }
   return outcome;

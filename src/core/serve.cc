@@ -21,20 +21,6 @@ namespace {
 /// (job ids start at 1 and the attempt number occupies the low byte).
 constexpr uint32_t kControlStream = 0;
 
-/// Rebuilds a Status from its wire (code, origin, message) triple, guarding
-/// against a peer speaking a newer code space. The origin byte carries the
-/// ORIGINATING failure's class for relayed aborts; 0 means unknown.
-Status StatusFromWire(uint8_t code, uint8_t origin, std::string message) {
-  if (code == 0 || code > static_cast<uint8_t>(StatusCode::kAborted)) {
-    return Status::Internal(std::move(message));
-  }
-  Status status(static_cast<StatusCode>(code), std::move(message));
-  if (origin != 0 && origin <= static_cast<uint8_t>(StatusCode::kAborted)) {
-    status = status.WithOrigin(static_cast<StatusCode>(origin));
-  }
-  return status;
-}
-
 uint64_t SplitMix64(uint64_t x) {
   x += 0x9E3779B97F4A7C15ull;
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
@@ -101,7 +87,6 @@ Result<PartyServer> PartyServer::Start(PartyMesh mesh, SecureRng rng,
   }
   PartyServer server{std::move(mesh)};
   server.control_deadline_ms_ = options.control_deadline_ms;
-  server.reconnect_timeout_ms_ = options.reconnect_timeout_ms;
   server.smc_ = options.smc;
   server.retry_ = options.retry;
   server.retry_.max_attempts =
@@ -118,24 +103,11 @@ Result<PartyServer> PartyServer::Start(PartyMesh mesh, SecureRng rng,
   server.health_->last_activity.assign(p, std::chrono::steady_clock::now());
   for (size_t j = 0; j < p; ++j) {
     if (j == index) continue;
-    SocketChannel* link = server.mesh_.link(j);
-    if (link == nullptr) {
+    if (server.mesh_.link(j) == nullptr) {
       return Status::InvalidArgument("mesh is missing the link to party " +
                                      std::to_string(j));
     }
-    server.link_fds_[j].store(link->native_handle());
-    // Chaos hook: scripted faults wrap the raw link, underneath the mux,
-    // so one misbehaving frame exercises every layer above.
-    Channel* base = link;
-    for (const LinkFault& fault : options.link_faults) {
-      if (fault.peer != j) continue;
-      server.wrapped_[j].push_back(
-          std::make_unique<FaultInjectingChannel>(link, fault.schedule));
-      base = server.wrapped_[j].back().get();
-    }
-    server.muxes_[j] = std::make_unique<ChannelMux>(*base);
-    PPD_ASSIGN_OR_RETURN(server.control_[j],
-                         server.muxes_[j]->OpenStream(kControlStream));
+    PPD_RETURN_IF_ERROR(server.AttachLink(j, options.link_faults));
   }
   // The daemon's one and only key generation + exchange, over the control
   // streams; every job of its lifetime adopts these sessions. Bounded: a
@@ -170,6 +142,35 @@ std::vector<LinkHealth> PartyServer::link_health() const {
   }
   snapshot[mesh_.index()].idle_seconds = 0;  // own slot: not a link
   return snapshot;
+}
+
+Status PartyServer::AttachLink(size_t peer,
+                               const std::vector<LinkFault>& faults) {
+  SocketChannel* link = mesh_.link(peer);
+  link_fds_[peer].store(link->native_handle());
+  // Chaos hook: scripted faults wrap the raw link, underneath the mux, so
+  // one misbehaving frame exercises every layer above.
+  Channel* base = link;
+  for (const LinkFault& fault : faults) {
+    if (fault.peer != peer) continue;
+    wrapped_[peer].push_back(
+        std::make_unique<FaultInjectingChannel>(link, fault.schedule));
+    base = wrapped_[peer].back().get();
+  }
+  muxes_[peer] = std::make_unique<ChannelMux>(*base);
+  PPD_ASSIGN_OR_RETURN(control_[peer],
+                       muxes_[peer]->OpenStream(kControlStream));
+  return Status::Ok();
+}
+
+Status PartyServer::SendControl(size_t peer, uint16_t type,
+                                const ByteWriter& payload) {
+  std::lock_guard<std::mutex> lock(*control_send_mu_);
+  if (control_[peer] == nullptr) {
+    return Status::Unavailable("the link to party " + std::to_string(peer) +
+                               " is down");
+  }
+  return SendMessage(*control_[peer], type, payload);
 }
 
 void PartyServer::NoteLinkError(size_t peer, const Status& status) {
@@ -256,7 +257,6 @@ Result<RunOutcome> PartyServer::RunJob(uint32_t stream_id,
   }
   if (!outcome.ok()) return outcome.status();
   jobs_completed_->fetch_add(1);
-  outcome->link_health = link_health();
   return outcome;
   // `streams` retire their mux ids on destruction; a late frame for a
   // finished attempt is dropped instead of leaking into the next one.
@@ -295,12 +295,9 @@ Result<RunOutcome> PartyServer::SubmitJob(const ClusteringJob& job) {
     announce.PutU32(id);
     announce.PutU8(static_cast<uint8_t>(attempt));
     for (size_t j = 1; j < parties(); ++j) {
-      std::lock_guard<std::mutex> lock(*control_send_mu_);
-      const Status sent =
-          control_[j] == nullptr
-              ? Status::Unavailable("link down")
-              : SendMessage(*control_[j], wire::kServeJobAnnounce, announce);
-      if (!sent.ok()) suspect[j] = true;  // the attempt will fail; heal next
+      if (!SendControl(j, wire::kServeJobAnnounce, announce).ok()) {
+        suspect[j] = true;  // the attempt will fail; heal next
+      }
     }
     Result<RunOutcome> outcome = RunJob(StreamId(id, attempt), job);
     if (!outcome.ok()) {
@@ -313,9 +310,25 @@ Result<RunOutcome> PartyServer::SubmitJob(const ClusteringJob& job) {
     // control deadline — so the control stream stays in sync for the next
     // attempt (or job) even when this one failed, and so sick links can be
     // told apart from healthy ones.
+    const uint32_t stream = StreamId(id, attempt);
     std::vector<Status> done(parties(), Status::Ok());
     for (size_t j = 1; j < parties(); ++j) {
-      done[j] = CollectDone(j, id, attempt);
+      done[j] = AwaitReply(
+          j, wire::kServeJobDone, control_deadline_ms_,
+          "complete job " + std::to_string(id),
+          [&](ByteReader& reader) -> Result<bool> {
+            PPD_ASSIGN_OR_RETURN(uint32_t done_id, reader.GetU32());
+            PPD_ASSIGN_OR_RETURN(uint8_t done_attempt, reader.GetU8());
+            const uint32_t done_stream = StreamId(done_id, done_attempt);
+            if (done_stream > stream) {
+              return Status::DataLoss(
+                  "party " + std::to_string(j) + " reported completion of "
+                  "job " + std::to_string(done_id) + " attempt " +
+                  std::to_string(done_attempt) + ", expected job " +
+                  std::to_string(id) + " attempt " + std::to_string(attempt));
+            }
+            return done_stream == stream;  // earlier attempts' are stale
+          });
     }
     Status round = outcome.status();
     for (size_t j = 1; j < parties(); ++j) {
@@ -349,127 +362,44 @@ void PartyServer::BroadcastJobFailed(uint32_t job_id, uint32_t attempt,
   const std::string& message = status.message();
   failed.PutBytes(std::vector<uint8_t>(message.begin(), message.end()));
   for (size_t j = 1; j < parties(); ++j) {
-    std::lock_guard<std::mutex> lock(*control_send_mu_);
     // Best effort: a dead link already fails the follower's job on its own.
-    if (control_[j] != nullptr) {
-      (void)SendMessage(*control_[j], wire::kServeJobFailed, failed);
-    }
+    (void)SendControl(j, wire::kServeJobFailed, failed);
   }
 }
 
-Status PartyServer::CollectDone(size_t follower, uint32_t job_id,
-                                uint32_t attempt) {
+Status PartyServer::AwaitReply(
+    size_t follower, uint16_t type, int deadline_ms, const std::string& what,
+    const std::function<Result<bool>(ByteReader&)>& is_current) {
   if (control_[follower] == nullptr) {
     return Status::Unavailable("the link to party " +
                                std::to_string(follower) + " is down");
   }
   Channel& control = *control_[follower];
-  control.set_recv_deadline_ms(control_deadline_ms_ > 0 ? control_deadline_ms_
-                                                        : -1);
-  const uint32_t expected = StreamId(job_id, attempt);
-  Status result;
-  while (true) {
-    Result<Message> msg = RecvMessage(control);
-    if (!msg.ok()) {
-      result = msg.status();
-      break;
+  control.set_recv_deadline_ms(deadline_ms > 0 ? deadline_ms : -1);
+  const std::string party = "party " + std::to_string(follower);
+  const Status result = [&]() -> Status {
+    while (true) {
+      PPD_ASSIGN_OR_RETURN(Message msg, RecvMessage(control));
+      const bool reply = msg.type == wire::kServeJobDone ||
+                         msg.type == wire::kServeLinkHealed;
+      if (reply && msg.type != type) continue;  // late reply of the other kind
+      if (msg.type != type) {
+        return Status::DataLoss("unexpected control message type " +
+                                std::to_string(msg.type) +
+                                " while waiting for " + party + " to " + what);
+      }
+      ByteReader reader(msg.payload);
+      PPD_ASSIGN_OR_RETURN(bool current, is_current(reader));
+      if (!current) continue;
+      Status report;
+      PPD_RETURN_IF_ERROR(GetStatusReport(reader, &report));
+      if (report.ok()) return report;
+      // Keep the reported origin: retry classification reads it.
+      return Status(report.code(), party + " could not " + what + ": " +
+                                       report.message())
+          .WithOrigin(report.origin_code());
     }
-    if (msg->type == wire::kServeLinkHealed) continue;  // stale heal reply
-    if (msg->type != wire::kServeJobDone) {
-      result = Status::DataLoss(
-          "unexpected control message type " + std::to_string(msg->type) +
-          " while waiting for party " + std::to_string(follower) +
-          " to complete job " + std::to_string(job_id));
-      break;
-    }
-    ByteReader reader(msg->payload);
-    Result<uint32_t> done_id = reader.GetU32();
-    Result<uint8_t> done_attempt =
-        done_id.ok() ? reader.GetU8() : done_id.status();
-    Result<uint8_t> ok =
-        done_attempt.ok() ? reader.GetU8() : done_attempt.status();
-    Result<uint8_t> code = ok.ok() ? reader.GetU8() : ok.status();
-    Result<uint8_t> origin = code.ok() ? reader.GetU8() : code.status();
-    Result<std::vector<uint8_t>> message =
-        origin.ok() ? reader.GetBytes() : origin.status();
-    if (!message.ok()) {
-      result = message.status();
-      break;
-    }
-    const uint32_t done_stream = StreamId(*done_id, *done_attempt);
-    if (done_stream < expected) continue;  // stale report, earlier attempt
-    if (done_stream != expected) {
-      result = Status::DataLoss(
-          "party " + std::to_string(follower) + " reported completion of "
-          "job " + std::to_string(*done_id) + " attempt " +
-          std::to_string(*done_attempt) + ", expected job " +
-          std::to_string(job_id) + " attempt " + std::to_string(attempt));
-      break;
-    }
-    if (*ok == 0) {
-      result = StatusFromWire(
-          *code, *origin,
-          "party " + std::to_string(follower) + " failed job " +
-              std::to_string(job_id) + ": " +
-              std::string(message->begin(), message->end()));
-    }
-    break;
-  }
-  control.set_recv_deadline_ms(-1);
-  return result;
-}
-
-Status PartyServer::CollectHealed(size_t follower, size_t peer) {
-  if (control_[follower] == nullptr) {
-    return Status::Unavailable("the link to party " +
-                               std::to_string(follower) + " is down");
-  }
-  Channel& control = *control_[follower];
-  // The follower's heal spans a TCP redial plus a session re-exchange, so
-  // its reply budget is both bounds added.
-  int deadline_ms = -1;
-  if (control_deadline_ms_ > 0 || reconnect_timeout_ms_ > 0) {
-    deadline_ms = std::max(control_deadline_ms_, 0) +
-                  std::max(reconnect_timeout_ms_, 0);
-  }
-  control.set_recv_deadline_ms(deadline_ms);
-  Status result;
-  while (true) {
-    Result<Message> msg = RecvMessage(control);
-    if (!msg.ok()) {
-      result = msg.status();
-      break;
-    }
-    if (msg->type == wire::kServeJobDone) continue;  // stale late report
-    if (msg->type != wire::kServeLinkHealed) {
-      result = Status::DataLoss(
-          "unexpected control message type " + std::to_string(msg->type) +
-          " while waiting for party " + std::to_string(follower) +
-          " to heal its link to party " + std::to_string(peer));
-      break;
-    }
-    ByteReader reader(msg->payload);
-    Result<uint32_t> healed_peer = reader.GetU32();
-    Result<uint8_t> ok =
-        healed_peer.ok() ? reader.GetU8() : healed_peer.status();
-    Result<uint8_t> code = ok.ok() ? reader.GetU8() : ok.status();
-    Result<uint8_t> origin = code.ok() ? reader.GetU8() : code.status();
-    Result<std::vector<uint8_t>> message =
-        origin.ok() ? reader.GetBytes() : origin.status();
-    if (!message.ok()) {
-      result = message.status();
-      break;
-    }
-    if (*healed_peer != peer) continue;  // reply to an earlier heal round
-    if (*ok == 0) {
-      result = StatusFromWire(
-          *code, *origin,
-          "party " + std::to_string(follower) +
-              " could not heal its link to party " + std::to_string(peer) +
-              ": " + std::string(message->begin(), message->end()));
-    }
-    break;
-  }
+  }();
   control.set_recv_deadline_ms(-1);
   return result;
 }
@@ -486,35 +416,21 @@ Status PartyServer::HealLink(size_t peer) {
   control_[peer].reset();
   muxes_[peer].reset();
   wrapped_[peer].clear();
-  Status relinked = mesh_.ReestablishLink(
-      peer, reconnect_timeout_ms_ > 0 ? reconnect_timeout_ms_ : 0);
-  if (!relinked.ok()) {
-    NoteLinkError(peer, relinked);
-    return relinked;
+  Status healed = mesh_.ReestablishLink(peer);
+  if (healed.ok()) healed = AttachLink(peer, {});
+  if (healed.ok()) {
+    // Re-run session establishment on ONLY this link, bounded like Start's.
+    control_[peer]->set_recv_deadline_ms(
+        control_deadline_ms_ > 0 ? control_deadline_ms_ : -1);
+    {
+      std::lock_guard<std::mutex> lock(*rng_mu_);
+      healed = setup_->ReestablishSession(peer, *control_[peer], smc_);
+    }
+    control_[peer]->set_recv_deadline_ms(-1);
   }
-  SocketChannel* link = mesh_.link(peer);
-  link_fds_[peer].store(link->native_handle());
-  muxes_[peer] = std::make_unique<ChannelMux>(*link);
-  Result<std::unique_ptr<Channel>> control =
-      muxes_[peer]->OpenStream(kControlStream);
-  if (!control.ok()) {
-    NoteLinkError(peer, control.status());
-    return control.status();
-  }
-  control_[peer] = std::move(*control);
-  // Re-run session establishment on ONLY this link, bounded like Start's.
-  const int establish_deadline_ms =
-      control_deadline_ms_ > 0 ? control_deadline_ms_ : -1;
-  control_[peer]->set_recv_deadline_ms(establish_deadline_ms);
-  Status session;
-  {
-    std::lock_guard<std::mutex> lock(*rng_mu_);
-    session = setup_->ReestablishSession(peer, *control_[peer], smc_);
-  }
-  control_[peer]->set_recv_deadline_ms(-1);
-  if (!session.ok()) {
-    NoteLinkError(peer, session);
-    return session;
+  if (!healed.ok()) {
+    NoteLinkError(peer, healed);
+    return healed;
   }
   {
     std::lock_guard<std::mutex> lock(health_->mu);
@@ -533,6 +449,12 @@ Status PartyServer::HealSuspectLinks(std::vector<bool>* suspect) {
       (*suspect)[j] = true;
     }
   }
+  // A follower's heal redials on the mesh budget (either side of the
+  // link), then re-keys on the control deadline.
+  const PartyMeshOptions& budget = mesh_.options();
+  const int heal_reply_ms =
+      std::max(control_deadline_ms_, 0) +
+      std::max({budget.connect_timeout_ms, budget.accept_timeout_ms, 0});
   Status first_error;
   for (size_t peer = 1; peer < parties(); ++peer) {
     if (!(*suspect)[peer]) continue;
@@ -543,14 +465,11 @@ Status PartyServer::HealSuspectLinks(std::vector<bool>* suspect) {
     // Followers whose link to the suspect is actually fine reply
     // immediately without touching it.
     std::vector<bool> asked(parties(), false);
+    ByteWriter heal;
+    heal.PutU32(static_cast<uint32_t>(peer));
     for (size_t s = 1; s < parties(); ++s) {
       if (s == peer || (*suspect)[s] || control_[s] == nullptr) continue;
-      ByteWriter heal;
-      heal.PutU32(static_cast<uint32_t>(peer));
-      std::lock_guard<std::mutex> lock(*control_send_mu_);
-      const Status sent =
-          SendMessage(*control_[s], wire::kServeHealLink, heal);
-      if (sent.ok()) {
+      if (SendControl(s, wire::kServeHealLink, heal).ok()) {
         asked[s] = true;
       } else {
         (*suspect)[s] = true;  // handled later in this loop (s > peer) or
@@ -561,7 +480,13 @@ Status PartyServer::HealSuspectLinks(std::vector<bool>* suspect) {
     Status collected;
     for (size_t s = 1; s < parties(); ++s) {
       if (!asked[s]) continue;
-      const Status reply = CollectHealed(s, peer);
+      const Status reply = AwaitReply(
+          s, wire::kServeLinkHealed, heal_reply_ms,
+          "heal its link to party " + std::to_string(peer),
+          [peer](ByteReader& reader) -> Result<bool> {
+            PPD_ASSIGN_OR_RETURN(uint32_t healed_peer, reader.GetU32());
+            return healed_peer == peer;  // earlier heal rounds' are stale
+          });
       if (!reply.ok()) {
         (*suspect)[s] = true;
         if (collected.ok()) collected = reply;
@@ -600,6 +525,14 @@ PartyServer::ServeReport PartyServer::Serve(const JobFactory& make_job,
   // this follower's jobs, matching the submitter's one-at-a-time protocol.
   ThreadPool job_runner(1);
   std::vector<std::future<void>> inflight;
+  // Waits out every submitted job. A heal drains first, so no runner
+  // touches the links while they are rebuilt.
+  const auto drain = [&inflight] {
+    for (std::future<void>& f : inflight) {
+      if (f.valid()) f.wait();
+    }
+    inflight.clear();
+  };
   std::mutex counters_mu;
   while (true) {
     // Re-fetched every iteration: a heal swaps the control stream out.
@@ -617,12 +550,8 @@ PartyServer::ServeReport PartyServer::Serve(const JobFactory& make_job,
         // submitter link failed (either side's socket) and the submitter
         // will redial before re-announcing — so heal instead of exiting,
         // and a follower restart elsewhere in the fleet never cascades
-        // into this one shutting down. Local jobs are drained first so no
-        // runner touches the links mid-heal.
-        for (std::future<void>& f : inflight) {
-          if (f.valid()) f.wait();
-        }
-        inflight.clear();
+        // into this one shutting down.
+        drain();
         const Status healed = HealLink(0);
         if (healed.ok()) continue;
         report.status = healed;
@@ -651,24 +580,15 @@ PartyServer::ServeReport PartyServer::Serve(const JobFactory& make_job,
                                   : peer.status();
         break;
       }
-      for (std::future<void>& f : inflight) {
-        if (f.valid()) f.wait();
-      }
-      inflight.clear();
+      drain();
       Status healed;
       if (muxes_[*peer] == nullptr || !muxes_[*peer]->status().ok()) {
         healed = HealLink(*peer);
       }
       ByteWriter reply;
       reply.PutU32(*peer);
-      reply.PutU8(healed.ok() ? 1 : 0);
-      reply.PutU8(static_cast<uint8_t>(healed.code()));
-      reply.PutU8(healed.ok() ? 0 : AbortOriginCode(healed));
-      const std::string message = healed.ok() ? std::string()
-                                              : healed.message();
-      reply.PutBytes(std::vector<uint8_t>(message.begin(), message.end()));
-      std::lock_guard<std::mutex> lock(*control_send_mu_);
-      (void)SendMessage(*control, wire::kServeLinkHealed, reply);
+      PutStatusReport(reply, healed);
+      (void)SendControl(0, wire::kServeLinkHealed, reply);
       continue;
     }
     if (msg->type == wire::kServeJobFailed) {
@@ -738,27 +658,13 @@ PartyServer::ServeReport PartyServer::Serve(const JobFactory& make_job,
       ByteWriter done;
       done.PutU32(id);
       done.PutU8(static_cast<uint8_t>(stream_id & 0xFFu));
-      done.PutU8(outcome.ok() ? 1 : 0);
-      done.PutU8(static_cast<uint8_t>(outcome.status().code()));
-      // The origin byte lets the submitter's retry classifier see THIS
-      // party's underlying failure class through the kAborted relay.
-      done.PutU8(outcome.ok() ? 0 : AbortOriginCode(outcome.status()));
-      const std::string message =
-          outcome.ok() ? std::string() : outcome.status().message();
-      done.PutBytes(std::vector<uint8_t>(message.begin(), message.end()));
-      {
-        std::lock_guard<std::mutex> lock(*control_send_mu_);
-        // Best effort: if the control stream died the loop above ends too.
-        if (control_[0] != nullptr) {
-          (void)SendMessage(*control_[0], wire::kServeJobDone, done);
-        }
-      }
+      PutStatusReport(done, outcome.status());
+      // Best effort: if the control stream died the loop above ends too.
+      (void)SendControl(0, wire::kServeJobDone, done);
       if (on_done != nullptr) on_done(id, outcome);
     }));
   }
-  for (std::future<void>& f : inflight) {
-    if (f.valid()) f.wait();
-  }
+  drain();
   return report;
 }
 
@@ -768,13 +674,7 @@ Status PartyServer::AnnounceShutdown() {
   }
   Status first_error;
   for (size_t j = 1; j < parties(); ++j) {
-    std::lock_guard<std::mutex> lock(*control_send_mu_);
-    Status sent =
-        control_[j] == nullptr
-            ? Status::Unavailable("the link to party " + std::to_string(j) +
-                                  " is down")
-            : SendMessage(*control_[j], wire::kServeShutdown,
-                          std::vector<uint8_t>());
+    const Status sent = SendControl(j, wire::kServeShutdown, ByteWriter());
     if (!sent.ok() && first_error.ok()) first_error = sent;
   }
   return first_error;

@@ -9,9 +9,11 @@
 #include <memory>
 #include <mutex>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
+#include "common/serialize.h"
 #include "common/status.h"
 #include "core/job.h"
 #include "net/fault.h"
@@ -63,6 +65,10 @@ uint32_t BackoffDelayMs(const RetryPolicy& policy, uint32_t retry_index);
 ///   submitter -> follower  kServeHealLink(peer)             re-link with peer
 ///   follower  -> submitter kServeLinkHealed(peer, ...)      heal finished
 ///   submitter -> follower  kServeShutdown                   drain and exit
+/// Both follower replies end in one status report (PutStatusReport,
+/// net/message.h), and the submitter reads them through one bounded reply
+/// wait. Every control send, from either role and any thread, goes
+/// through one locked helper.
 ///
 /// Party 0 drives with SubmitJob()/AnnounceShutdown(); every other party
 /// sits in Serve(), building its local view of each announced job from a
@@ -80,9 +86,11 @@ uint32_t BackoffDelayMs(const RetryPolicy& policy, uint32_t retry_index);
 /// identification handshake and the SMC session establishment on ONLY the
 /// failed link (PartyMesh::ReestablishLink + ReestablishSession), so a
 /// follower restart never forces the rest of the fleet to restart or
-/// re-key. The heal model assumes a dead peer's TCP links actually fail
-/// (crash, kill, close); a silent partition surfaces as the round deadline
-/// instead and heals once the transport reports the loss.
+/// re-key. The redial is bounded by the PartyMeshOptions the mesh was
+/// established with, the session re-exchange by `control_deadline_ms`.
+/// The heal model assumes a dead peer's TCP links actually fail (crash,
+/// kill, close); a silent partition surfaces as the round deadline instead
+/// and heals once the transport reports the loss.
 class PartyServer {
  public:
   /// Chaos hook: wrap the mesh link to `peer` in a FaultInjectingChannel
@@ -98,21 +106,19 @@ class PartyServer {
   struct Options {
     SmcOptions smc;
     /// Receive deadline for control-plane waits with a known bound: the
-    /// Start-time session establishment and the submitter's per-job
-    /// completion collection. A crashed or stalled peer then surfaces as
-    /// kDeadlineExceeded instead of wedging the daemon. Followers' idle
-    /// wait for the next announce is NOT bounded (legitimately
-    /// indefinite). 0 or negative disables the bound.
+    /// Start-time and heal-time session establishment and the submitter's
+    /// per-job completion collection. A heal reply may take this plus the
+    /// mesh's larger link budget (the follower redials, then re-keys). A
+    /// crashed or stalled peer then surfaces as kDeadlineExceeded instead
+    /// of wedging the daemon. Followers' idle wait for the next announce
+    /// is NOT bounded (legitimately indefinite). 0 or negative disables
+    /// the bound.
     int control_deadline_ms = 10000;
     /// Server-level job retry budget, used when a submitted job's own
     /// options carry no policy (ProtocolOptions::retry.max_attempts <= 1).
     /// Followers consult max_attempts too: > 1 opts them into healing a
     /// lost control link instead of treating the loss as shutdown.
     RetryPolicy retry;
-    /// Bound on one link re-establishment during a heal (TCP redial +
-    /// identification handshake; the session re-exchange is then bounded
-    /// by control_deadline_ms like at Start).
-    int reconnect_timeout_ms = 10000;
     /// Scripted link faults (normally empty).
     std::vector<LinkFault> link_faults;
   };
@@ -187,8 +193,7 @@ class PartyServer {
   /// effective policy is the job's own ProtocolOptions::retry when set,
   /// the server Options::retry otherwise. Terminal failures (config and
   /// logic errors) never retry. Either way the daemon stays usable for
-  /// the next SubmitJob. On success the outcome carries the link-health
-  /// snapshot.
+  /// the next SubmitJob. Per-link health lives in link_health().
   Result<RunOutcome> SubmitJob(const ClusteringJob& job);
 
   /// Followers only: blocks serving announced jobs until the submitter
@@ -246,24 +251,36 @@ class PartyServer {
   void BroadcastJobFailed(uint32_t job_id, uint32_t attempt,
                           const Status& status);
 
-  /// Submitter: waits (bounded) for `follower`'s completion report of the
-  /// given attempt, skipping stale reports of earlier attempts and stale
-  /// heal replies. Ok when the follower succeeded; the follower's
-  /// transmitted status (or the transport/deadline error) otherwise.
-  Status CollectDone(size_t follower, uint32_t job_id, uint32_t attempt);
+  /// Both roles: the one control-plane send. Serializes every sender on
+  /// `control_send_mu_` (a follower's job runner and control loop share
+  /// the submitter link); kUnavailable when the link to `peer` is down.
+  Status SendControl(size_t peer, uint16_t type, const ByteWriter& payload);
 
-  /// Submitter: waits (bounded) for `follower`'s kServeLinkHealed reply
-  /// about `peer`, skipping stale completion reports.
-  Status CollectHealed(size_t follower, size_t peer);
+  /// Submitter: the one bounded wait for a follower's reply. Reads
+  /// `follower`'s control stream for at most `deadline_ms` (unbounded when
+  /// <= 0) until a `type` reply arrives whose header `is_current` accepts,
+  /// skipping late replies of the other kind and those `is_current`
+  /// rejects as stale (an error from it ends the wait). Ok when the
+  /// follower succeeded; its reported status, prefixed "party <follower>
+  /// could not <what>", or the transport/deadline error otherwise.
+  Status AwaitReply(size_t follower, uint16_t type, int deadline_ms,
+                    const std::string& what,
+                    const std::function<Result<bool>(ByteReader&)>& is_current);
+
+  /// Both roles: attaches the mesh link to `peer` the one way Start and
+  /// HealLink share — publish its fd for RequestStop, wrap it in the
+  /// `faults` scripted for `peer`, layer a fresh mux over it, and open
+  /// control stream 0.
+  Status AttachLink(size_t peer, const std::vector<LinkFault>& faults);
 
   /// Both roles: tears this party's side of the link to `peer` fully down
   /// (control stream, mux, fault wrappers, socket) and rebuilds it —
-  /// PartyMesh::ReestablishLink, a fresh mux + control stream, then
-  /// ReestablishSession over it. The two endpoints of a healed link run
-  /// this concurrently; a relaunched peer runs a full Start instead, which
-  /// this side cannot distinguish (by design). On failure the slot stays
-  /// down (muxes_[peer] == nullptr) and jobs fail kUnavailable until a
-  /// later heal succeeds.
+  /// PartyMesh::ReestablishLink on the mesh's own budget, AttachLink, then
+  /// ReestablishSession over the new control stream. The two endpoints of
+  /// a healed link run this concurrently; a relaunched peer runs a full
+  /// Start instead, which this side cannot distinguish (by design). On
+  /// failure the slot stays down (muxes_[peer] == nullptr) and jobs fail
+  /// kUnavailable until a later heal succeeds.
   Status HealLink(size_t peer);
 
   /// Submitter: heals every flagged link before a retry. First asks every
@@ -283,7 +300,6 @@ class PartyServer {
   std::vector<std::unique_ptr<ChannelMux>> muxes_;   // per peer; null at own
   std::vector<std::unique_ptr<Channel>> control_;    // stream 0 per peer
   int control_deadline_ms_ = 10000;
-  int reconnect_timeout_ms_ = 10000;
   RetryPolicy retry_;
   SmcOptions smc_;  // retained so a heal re-establishes like Start did
   std::shared_ptr<JobControl> job_control_ = std::make_shared<JobControl>();

@@ -60,12 +60,13 @@ inline constexpr uint16_t kJobHello = 0x1050;
 
 // Serve-mode control plane (core/serve.h). Rides stream 0 of each mesh
 // link's job-id mux; the submitter announces jobs and shutdown, followers
-// report per-job completion. Job messages carry the job id plus the retry
-// attempt number (u8): a retried job runs on fresh mux streams derived
-// from (id, attempt), so frames from a failed attempt can never leak into
-// its retry.
+// report per-job completion. A follower's job or heal outcome rides one
+// status report (PutStatusReport, net/message.h). Job messages carry the
+// job id plus the retry attempt number (u8): a retried job runs on fresh
+// mux streams derived from (id, attempt), so frames from a failed attempt
+// can never leak into its retry.
 inline constexpr uint16_t kServeJobAnnounce = 0x1060;  // u32 job id, u8 attempt
-inline constexpr uint16_t kServeJobDone = 0x1061;  // u32 id, u8 attempt, u8 ok, u8 code, msg
+inline constexpr uint16_t kServeJobDone = 0x1061;  // u32 id, u8 attempt, status report
 inline constexpr uint16_t kServeShutdown = 0x1062;     // no payload
 // Failure containment: the submitter broadcasts this when a job fails so
 // followers cancel that job's streams and requeue for the next announce
@@ -76,7 +77,7 @@ inline constexpr uint16_t kServeJobFailed = 0x1063;  // u32 id, u8 attempt, u8 c
 // suspect link was torn down on both ends first). The follower answers
 // kServeLinkHealed when its side of the heal finished.
 inline constexpr uint16_t kServeHealLink = 0x1064;    // u32 peer
-inline constexpr uint16_t kServeLinkHealed = 0x1065;  // u32 peer, u8 ok, u8 code, msg
+inline constexpr uint16_t kServeLinkHealed = 0x1065;  // u32 peer, status report
 
 }  // namespace wire
 

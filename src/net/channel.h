@@ -31,9 +31,9 @@ struct ChannelStats {
 
 /// Operator-facing health record for one long-lived mesh link, accumulated
 /// across jobs by a PartyServer (core/serve.h) and surfaced through
-/// RunOutcome::link_health and the CLI's periodic health line. All counters
-/// are cumulative since the daemon started; `idle_seconds` is computed at
-/// snapshot time.
+/// PartyServer::link_health() and the CLI's periodic health line. All
+/// counters are cumulative since the daemon started; `idle_seconds` is
+/// computed at snapshot time.
 struct LinkHealth {
   size_t peer = 0;
   uint64_t frames_sent = 0;

@@ -23,11 +23,6 @@ const char* FaultKindToString(FaultKind kind) {
   return "UNKNOWN";
 }
 
-bool FaultInjectingChannel::fault_fired() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return fired_;
-}
-
 Status FaultInjectingChannel::SendImpl(const std::vector<uint8_t>& frame) {
   FaultKind action = FaultKind::kNone;
   {

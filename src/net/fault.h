@@ -80,9 +80,6 @@ class FaultInjectingChannel : public Channel {
     inner_->set_recv_deadline_ms(deadline_ms);
   }
 
-  /// True once the scripted fault has triggered (diagnostics for tests).
-  bool fault_fired() const;
-
  protected:
   Status SendImpl(const std::vector<uint8_t>& frame) override;
   Result<std::vector<uint8_t>> RecvImpl() override;
@@ -96,7 +93,7 @@ class FaultInjectingChannel : public Channel {
   Channel* inner_;
   FaultSchedule schedule_;
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   uint64_t frames_ = 0;  // clean frames forwarded, both directions
   bool fired_ = false;
   bool dropped_ = false;  // kDropLink/kSendError closed the inner channel

@@ -68,6 +68,34 @@ Status AbortedFromPayload(const std::vector<uint8_t>& payload) {
       .WithOrigin(origin);
 }
 
+void PutStatusReport(ByteWriter& writer, const Status& status) {
+  writer.PutU8(status.ok() ? 1 : 0);
+  writer.PutU8(static_cast<uint8_t>(status.code()));
+  writer.PutU8(AbortOriginCode(status));
+  const std::string message = status.ok() ? std::string() : status.message();
+  writer.PutBytes(std::vector<uint8_t>(message.begin(), message.end()));
+}
+
+Status GetStatusReport(ByteReader& reader, Status* report) {
+  PPD_ASSIGN_OR_RETURN(uint8_t ok, reader.GetU8());
+  PPD_ASSIGN_OR_RETURN(uint8_t code, reader.GetU8());
+  PPD_ASSIGN_OR_RETURN(uint8_t origin, reader.GetU8());
+  PPD_ASSIGN_OR_RETURN(std::vector<uint8_t> text, reader.GetBytes());
+  std::string message(text.begin(), text.end());
+  constexpr uint8_t kLastCode = static_cast<uint8_t>(StatusCode::kAborted);
+  if (ok != 0) {
+    *report = Status::Ok();
+  } else if (code == 0 || code > kLastCode) {
+    *report = Status::Internal(std::move(message));
+  } else {
+    *report = Status(static_cast<StatusCode>(code), std::move(message));
+    if (origin != 0 && origin <= kLastCode) {
+      *report = report->WithOrigin(static_cast<StatusCode>(origin));
+    }
+  }
+  return Status::Ok();
+}
+
 Status AbortPeer(Channel& channel, Status status, const std::string& reason) {
   std::vector<uint8_t> payload;
   payload.reserve(reason.size() + 1);

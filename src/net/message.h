@@ -13,7 +13,12 @@ namespace ppdbscan {
 
 /// A tagged protocol message: a 16-bit type identifier plus an opaque
 /// payload. Message type values are defined by each protocol (see
-/// core/responder.h for the DBSCAN protocol's tag space).
+/// core/wire.h for the DBSCAN protocol's and the serve control plane's
+/// tag space).
+///
+/// Besides the framing, this header owns two shared payload codecs: the
+/// abort frame (a failing party's origin code and reason) and the status
+/// report (a serve follower's job or heal outcome).
 struct Message {
   uint16_t type = 0;
   std::vector<uint8_t> payload;
@@ -42,6 +47,22 @@ Status AbortedFromPayload(const std::vector<uint8_t>& payload);
 /// then returns `status` so the caller can
 /// `return AbortPeer(channel, std::move(status), reason);`.
 Status AbortPeer(Channel& channel, Status status, const std::string& reason);
+
+/// Writes a status report: the (ok, code, origin, message) tail of the
+/// serve control plane's kServeJobDone and kServeLinkHealed payloads,
+/// laid out `[ok u8][code u8][origin u8][u32 len][message]`. A failure
+/// carries its code, AbortOriginCode(status) — so the receiver's retry
+/// classifier sees the sender's underlying failure class through a
+/// kAborted relay — and its message; OK writes `[1][0][0][0 0 0 0]`.
+void PutStatusReport(ByteWriter& writer, const Status& status);
+
+/// Reads one status report into `*report`; kDataLoss when the bytes end
+/// early (trailing bytes are left to the caller). A nonzero ok byte reads
+/// as OK. A failure whose code byte is 0 or beyond kAborted (a peer
+/// speaking a newer code space) reads as kInternal with the sent message;
+/// a nonzero origin byte within the code space becomes
+/// report->origin_code().
+Status GetStatusReport(ByteReader& reader, Status* report);
 
 /// Sends `payload` under `type` as one frame.
 Status SendMessage(Channel& channel, uint16_t type,

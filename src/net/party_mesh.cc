@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <thread>
 #include <utility>
 
@@ -59,6 +60,19 @@ Status Annotate(const Status& status, const std::string& context) {
   return Status(status.code(), context + ": " + status.message());
 }
 
+/// Milliseconds left until `deadline`, clamped to [0, INT_MAX].
+int MsUntil(std::chrono::steady_clock::time_point deadline) {
+  const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+      deadline - std::chrono::steady_clock::now());
+  return static_cast<int>(std::clamp<int64_t>(
+      left.count(), 0, std::numeric_limits<int>::max()));
+}
+
+std::chrono::steady_clock::time_point After(int ms) {
+  return std::chrono::steady_clock::now() +
+         std::chrono::milliseconds(std::max(ms, 0));
+}
+
 }  // namespace
 
 Result<PartyMesh> PartyMesh::Establish(
@@ -103,60 +117,78 @@ Result<PartyMesh> PartyMesh::EstablishWithListener(
   mesh.endpoints_ = endpoints;
   mesh.options_ = options;
 
-  // Connect phase: one link to every higher-indexed party, identified by a
-  // hello and confirmed by the acceptor's ack.
+  // Connect phase: one link to every higher-indexed party. DialLink's own
+  // caps (connect_timeout_ms, then accept_timeout_ms for the ack) bound it.
   for (size_t j = index + 1; j < p; ++j) {
-    const std::string context = "party " + std::to_string(index) +
-                                " connecting to party " + std::to_string(j);
-    Result<std::unique_ptr<SocketChannel>> channel = SocketChannel::Connect(
-        endpoints[j].host, endpoints[j].port, options.connect_timeout_ms);
-    if (!channel.ok()) return Annotate(channel.status(), context);
-    Status sent = (*channel)->Send(BuildHandshake(p, index));
-    if (!sent.ok()) return Annotate(sent, context);
-    Result<std::vector<uint8_t>> ack = (*channel)->Recv();
-    if (!ack.ok()) return Annotate(ack.status(), context);
-    Result<size_t> acceptor = ParseHandshake(*ack, p);
-    if (!acceptor.ok()) return Annotate(acceptor.status(), context);
-    if (*acceptor != j) {
-      return Status::FailedPrecondition(
-          context + ": endpoint identifies as party " +
-          std::to_string(*acceptor) + " — endpoint lists disagree");
+    Status dialed = mesh.DialLink(j, Clock::time_point::max());
+    if (!dialed.ok()) {
+      return Annotate(dialed, "party " + std::to_string(index) +
+                                  " connecting to party " + std::to_string(j));
     }
-    mesh.channels_[j] = std::move(*channel);
   }
-
   // Accept phase: one link from every lower-indexed party, slotted by the
-  // hello's sender index (arrival order is nondeterministic).
+  // hello's sender index (arrival order is nondeterministic), each within
+  // its own accept budget.
   for (size_t accepted = 0; accepted < index; ++accepted) {
-    const std::string context =
-        "party " + std::to_string(index) + " accepting mesh peer";
-    Result<std::unique_ptr<SocketChannel>> channel =
-        mesh.listener_->Accept(options.accept_timeout_ms);
-    if (!channel.ok()) return Annotate(channel.status(), context);
-    Result<std::vector<uint8_t>> hello = (*channel)->Recv();
-    if (!hello.ok()) return Annotate(hello.status(), context);
-    Result<size_t> peer = ParseHandshake(*hello, p);
-    if (!peer.ok()) return Annotate(peer.status(), context);
-    if (*peer >= index) {
-      return Status::FailedPrecondition(
-          context + ": party " + std::to_string(*peer) +
-          " must not connect to a lower index (schedule violation)");
+    Status linked =
+        mesh.AcceptLink(std::nullopt, After(options.accept_timeout_ms));
+    if (!linked.ok()) {
+      return Annotate(linked, "party " + std::to_string(index) +
+                                  " accepting mesh peer");
     }
-    if (mesh.channels_[*peer] != nullptr) {
-      return Status::FailedPrecondition(
-          context + ": party " + std::to_string(*peer) +
-          " connected twice");
-    }
-    Status acked = (*channel)->Send(BuildHandshake(p, index));
-    if (!acked.ok()) return Annotate(acked, context);
-    mesh.channels_[*peer] = std::move(*channel);
-  }
-
-  // Handshake traffic is transport setup, not protocol traffic.
-  for (const std::unique_ptr<SocketChannel>& channel : mesh.channels_) {
-    if (channel != nullptr) channel->ResetStats();
   }
   return mesh;
+}
+
+Status PartyMesh::DialLink(size_t peer, Clock::time_point deadline) {
+  PPD_ASSIGN_OR_RETURN(
+      std::unique_ptr<SocketChannel> channel,
+      SocketChannel::Connect(
+          endpoints_[peer].host, endpoints_[peer].port,
+          std::min(options_.connect_timeout_ms, MsUntil(deadline))));
+  channel->set_recv_deadline_ms(
+      std::max(std::min(options_.accept_timeout_ms, MsUntil(deadline)), 1));
+  PPD_RETURN_IF_ERROR(channel->Send(BuildHandshake(parties(), index_)));
+  PPD_ASSIGN_OR_RETURN(std::vector<uint8_t> ack, channel->Recv());
+  PPD_ASSIGN_OR_RETURN(size_t acceptor, ParseHandshake(ack, parties()));
+  if (acceptor != peer) {
+    return Status::FailedPrecondition("endpoint identifies as party " +
+                                      std::to_string(acceptor) +
+                                      " — endpoint lists disagree");
+  }
+  // Handshake traffic is transport setup, not protocol traffic.
+  channel->set_recv_deadline_ms(-1);
+  channel->ResetStats();
+  channels_[peer] = std::move(channel);
+  return Status::Ok();
+}
+
+Status PartyMesh::AcceptLink(std::optional<size_t> expected,
+                             Clock::time_point deadline) {
+  PPD_ASSIGN_OR_RETURN(std::unique_ptr<SocketChannel> channel,
+                       listener_->Accept(MsUntil(deadline)));
+  channel->set_recv_deadline_ms(std::max(MsUntil(deadline), 1));
+  PPD_ASSIGN_OR_RETURN(std::vector<uint8_t> hello, channel->Recv());
+  PPD_ASSIGN_OR_RETURN(size_t sender, ParseHandshake(hello, parties()));
+  if (expected.has_value() && sender != *expected) {
+    return Status::FailedPrecondition(
+        "party " + std::to_string(sender) + " connected while waiting for " +
+        "party " + std::to_string(*expected));
+  }
+  if (sender >= index_) {
+    return Status::FailedPrecondition(
+        "party " + std::to_string(sender) +
+        " must not connect to a lower index (schedule violation)");
+  }
+  if (channels_[sender] != nullptr) {
+    return Status::FailedPrecondition("party " + std::to_string(sender) +
+                                      " connected twice");
+  }
+  PPD_RETURN_IF_ERROR(channel->Send(BuildHandshake(parties(), index_)));
+  channel->set_recv_deadline_ms(-1);
+  channel->ResetStats();
+  channels_[sender] = std::move(channel);
+  return Status::Ok();
 }
 
 Status PartyMesh::ReestablishLink(size_t peer, int timeout_ms) {
@@ -178,88 +210,28 @@ Status PartyMesh::ReestablishLink(size_t peer, int timeout_ms) {
   const std::string context = "party " + std::to_string(index_) +
                               " re-establishing its link to party " +
                               std::to_string(peer);
-  using Clock = std::chrono::steady_clock;
-  const auto deadline = Clock::now() + std::chrono::milliseconds(
-                                           timeout_ms > 0 ? timeout_ms : 0);
-  const auto remaining_ms = [&]() -> int {
-    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-        deadline - Clock::now());
-    return static_cast<int>(std::max<int64_t>(left.count(), 0));
-  };
+  const bool dials = peer > index_;  // the original schedule
+  if (!dials && (!listener_.has_value() || !listener_->listening())) {
+    return Status::FailedPrecondition(context +
+                                      ": no retained listener to accept on");
+  }
+  if (timeout_ms < 0) {
+    timeout_ms =
+        dials ? options_.connect_timeout_ms : options_.accept_timeout_ms;
+  }
+  const Clock::time_point deadline = After(timeout_ms);
+  // Retry until the budget expires: the peer may still be relaunching, not
+  // yet accepting, or a stray connection may arrive first.
   Status last = Status::Unavailable("peer never became reachable");
-
-  if (peer > index_) {
-    // Original schedule: the lower index connects. Retry the full
-    // connect+handshake until the budget expires — the peer may still be
-    // relaunching, or not yet accepting.
-    while (true) {
-      const int left = remaining_ms();
-      if (left <= 0) break;
-      Result<std::unique_ptr<SocketChannel>> channel = SocketChannel::Connect(
-          endpoints_[peer].host, endpoints_[peer].port, left);
-      if (!channel.ok()) {
-        last = channel.status();
-        continue;  // Connect consumed (part of) the budget retrying
-      }
-      (*channel)->set_recv_deadline_ms(std::max(remaining_ms(), 1));
-      Status sent = (*channel)->Send(BuildHandshake(p, index_));
-      Result<std::vector<uint8_t>> ack =
-          sent.ok() ? (*channel)->Recv() : sent;
-      Result<size_t> acceptor = ack.ok() ? ParseHandshake(*ack, p)
-                                         : ack.status();
-      if (acceptor.ok() && *acceptor != peer) {
-        return Status::FailedPrecondition(
-            context + ": endpoint identifies as party " +
-            std::to_string(*acceptor) + " — endpoint lists disagree");
-      }
-      if (acceptor.ok()) {
-        (*channel)->set_recv_deadline_ms(-1);
-        (*channel)->ResetStats();
-        channels_[peer] = std::move(*channel);
-        return Status::Ok();
-      }
-      last = acceptor.status();
-      (*channel)->Close();
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  while (MsUntil(deadline) > 0) {
+    last = dials ? DialLink(peer, deadline) : AcceptLink(peer, deadline);
+    if (last.ok()) return last;
+    // A dialed peer that answers with the wrong identity or configuration
+    // will answer the same way on every retry.
+    if (dials && last.code() == StatusCode::kFailedPrecondition) {
+      return Annotate(last, context);
     }
-  } else {
-    // The higher index re-accepts off its retained listener, waiting for
-    // the hello that identifies the returning peer. A stray or mismatched
-    // connection is dropped and the wait continues.
-    if (!listener_.has_value() || !listener_->listening()) {
-      return Status::FailedPrecondition(context +
-                                        ": no retained listener to accept on");
-    }
-    while (true) {
-      const int left = remaining_ms();
-      if (left <= 0) break;
-      Result<std::unique_ptr<SocketChannel>> channel = listener_->Accept(left);
-      if (!channel.ok()) {
-        last = channel.status();
-        continue;
-      }
-      (*channel)->set_recv_deadline_ms(std::max(remaining_ms(), 1));
-      Result<std::vector<uint8_t>> hello = (*channel)->Recv();
-      Result<size_t> sender =
-          hello.ok() ? ParseHandshake(*hello, p) : hello.status();
-      if (sender.ok() && *sender == peer) {
-        Status acked = (*channel)->Send(BuildHandshake(p, index_));
-        if (!acked.ok()) {
-          last = acked;
-          continue;
-        }
-        (*channel)->set_recv_deadline_ms(-1);
-        (*channel)->ResetStats();
-        channels_[peer] = std::move(*channel);
-        return Status::Ok();
-      }
-      last = sender.ok() ? Status::FailedPrecondition(
-                               context + ": party " + std::to_string(*sender) +
-                               " connected while waiting for party " +
-                               std::to_string(peer))
-                         : sender.status();
-      (*channel)->Close();
-    }
+    if (dials) std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
   return Annotate(Status(StatusCode::kDeadlineExceeded,
                          "gave up after " + std::to_string(timeout_ms) +

@@ -1,6 +1,7 @@
 #ifndef PPDBSCAN_NET_PARTY_MESH_H_
 #define PPDBSCAN_NET_PARTY_MESH_H_
 
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -19,13 +20,18 @@ struct MeshEndpoint {
   uint16_t port = 0;
 };
 
+/// The mesh's link budgets. They bound every handshake step, so a silent
+/// peer or a stray client fails the link with a named status instead of
+/// hanging it, and the mesh retains them to bound its heals.
 struct PartyMeshOptions {
   /// Per-link connect retry budget: connects keep retrying until the
   /// target's listener is up or this expires, so the P processes can be
   /// started in any order.
   int connect_timeout_ms = 15000;
   /// Per-link accept budget (kUnavailable on expiry; the listener stays
-  /// open).
+  /// open). The acceptor waits for a peer's hello for at most what is left
+  /// of it (kDeadlineExceeded), and a dialer waits at most this long for
+  /// the acceptor's ack.
   int accept_timeout_ms = 20000;
   /// The listen backlog is max(min_backlog, parties): all lower-indexed
   /// peers may connect before this party reaches its first Accept, and
@@ -45,7 +51,11 @@ struct PartyMeshOptions {
 /// Accepted connections identify themselves with a hello frame (magic,
 /// version, party count, sender index) answered by an ack, so arrival
 /// order never mis-slots a link and a stray client fails the handshake
-/// descriptively instead of desyncing the mesh.
+/// descriptively instead of desyncing the mesh. Establish and
+/// ReestablishLink share one dial routine and one accept routine, and
+/// every handshake receive is bounded by the PartyMeshOptions budgets: a
+/// client that connects and stays silent, or a listener that never
+/// answers, fails the link kDeadlineExceeded instead of hanging it.
 ///
 /// The listener is retained for the mesh's lifetime (a daemon can
 /// re-accept a returning peer); handshake traffic is excluded from the
@@ -90,23 +100,45 @@ class PartyMesh {
     return listener_.has_value() ? &*listener_ : nullptr;
   }
 
-  /// Re-establishes the single link to `peer` after a TCP failure, using
-  /// the same identification handshake as Establish and the original
+  /// Re-establishes the single link to `peer` after a TCP failure through
+  /// the same dial and accept routines as Establish, on the original
   /// schedule (the lower index connects, the higher accepts off its
   /// retained listener) — so both ends can call this concurrently without
   /// coordination, and a relaunched peer running a full Establish is
   /// indistinguishable from one healing a single link. The old channel is
   /// closed and dropped first (unblocking a peer mid-Recv), then the whole
-  /// retry-with-backoff budget is bounded by `timeout_ms`. On success the
-  /// new link's stats are reset, exactly like a fresh Establish; on
-  /// failure the slot stays empty (link(peer) == nullptr).
-  Status ReestablishLink(size_t peer, int timeout_ms);
+  /// retry-with-backoff budget is bounded by `timeout_ms`. A negative
+  /// `timeout_ms` takes this side's budget from options(): connect_timeout_ms
+  /// where this party dials, accept_timeout_ms where it accepts. Where it
+  /// accepts, a stray or mismatched connection is dropped and the wait
+  /// continues; where it dials, an acceptor that answers with the wrong
+  /// identity or configuration (kFailedPrecondition) ends the heal at once.
+  /// On success the new link's stats are reset, exactly like a fresh
+  /// Establish; on failure the slot stays empty (link(peer) == nullptr).
+  Status ReestablishLink(size_t peer, int timeout_ms = -1);
+
+  /// The budgets this mesh was established with (and heals with).
+  const PartyMeshOptions& options() const { return options_; }
 
   /// Closes every link and the listener. Idempotent.
   void CloseAll();
 
  private:
+  using Clock = std::chrono::steady_clock;
+
   PartyMesh() = default;
+
+  /// The dialer's half of the link to `peer`: connects (retrying for at
+  /// most connect_timeout_ms), sends the hello, waits at most
+  /// accept_timeout_ms for the ack and checks that it names `peer` — each
+  /// step also ends by `deadline`. On success the link takes its slot.
+  Status DialLink(size_t peer, Clock::time_point deadline);
+
+  /// The acceptor's half of one link: accepts a connection and waits for
+  /// its hello, both by `deadline`, checks the sender (it must be
+  /// `expected` when given, else any lower-indexed party not yet linked),
+  /// then acks. On success the link takes the sender's slot.
+  Status AcceptLink(std::optional<size_t> expected, Clock::time_point deadline);
 
   size_t index_ = 0;
   std::vector<std::unique_ptr<SocketChannel>> channels_;  // null at index_

@@ -141,12 +141,6 @@ Result<std::unique_ptr<SocketChannel>> SocketListener::Accept(int timeout_ms) {
   return std::unique_ptr<SocketChannel>(new SocketChannel(fd));
 }
 
-Result<std::unique_ptr<SocketChannel>> SocketChannel::Listen(uint16_t port) {
-  Result<SocketListener> listener = SocketListener::Bind(port);
-  PPD_RETURN_IF_ERROR(listener.status());
-  return listener->Accept();
-}
-
 Result<std::unique_ptr<SocketChannel>> SocketChannel::Connect(
     const std::string& host, uint16_t port, int timeout_ms) {
   sockaddr_in addr{};

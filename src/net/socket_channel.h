@@ -13,10 +13,10 @@ namespace ppdbscan {
 
 class SocketChannel;
 
-/// A bound, listening TCP socket. Split from SocketChannel::Listen so
-/// callers can bind port 0 (kernel-assigned), learn the actual port, hand
-/// it to the connecting side, and only then block in Accept — the pattern
-/// tests use to avoid fixed-port collisions. The listener is persistent:
+/// A bound, listening TCP socket. Binding is split from Accept so callers
+/// can bind port 0 (kernel-assigned), learn the actual port, hand it to
+/// the connecting side, and only then block in Accept — the pattern tests
+/// use to avoid fixed-port collisions. The listener is persistent:
 /// Accept may be called repeatedly (a mesh party accepts P−1 peers off one
 /// listener; a daemon re-accepts after a peer reconnects), and `backlog`
 /// sizes the kernel's pending-connection queue so P−1 simultaneous
@@ -69,10 +69,6 @@ class SocketChannel : public Channel {
   /// receiver enforces the same bound on incoming headers (kDataLoss), so
   /// the two limits can never disagree.
   static constexpr uint32_t kMaxFrame = 64u << 20;  // 64 MiB
-
-  /// Listens on `port` (IPv4 loopback-any) and accepts exactly one peer.
-  /// Convenience wrapper over SocketListener::Bind + Accept.
-  static Result<std::unique_ptr<SocketChannel>> Listen(uint16_t port);
 
   /// Connects to a listening peer, retrying for up to `timeout_ms` so the
   /// two processes can be started in either order.

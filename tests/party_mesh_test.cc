@@ -1,13 +1,18 @@
 // PartyMesh over real loopback sockets: the deterministic pairwise
 // schedule assembles a full N-party mesh (ephemeral kernel-assigned
 // ports, any start order), links are slotted by the identification
-// handshake rather than arrival order, and a party dying mid-round
-// surfaces as kUnavailable on every survivor — never as SIGPIPE.
+// handshake rather than arrival order, a party dying mid-round surfaces
+// as kUnavailable on every survivor — never as SIGPIPE — and a handshake
+// peer that goes silent fails the link within the mesh budgets instead of
+// hanging it.
 
 #include "net/party_mesh.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <functional>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -19,7 +24,8 @@ namespace {
 /// in party order. Ephemeral ports: every listening party binds port 0
 /// first, the learned ports form the shared endpoint list, then all
 /// parties establish concurrently.
-std::vector<std::optional<PartyMesh>> EstablishLoopbackMesh(size_t parties) {
+std::vector<std::optional<PartyMesh>> EstablishLoopbackMesh(
+    size_t parties, const PartyMeshOptions& options = {}) {
   std::vector<MeshEndpoint> endpoints(parties);
   std::vector<std::optional<SocketListener>> listeners(parties);
   for (size_t i = 1; i < parties; ++i) {
@@ -34,7 +40,7 @@ std::vector<std::optional<PartyMesh>> EstablishLoopbackMesh(size_t parties) {
   for (size_t i = 0; i < parties; ++i) {
     threads.emplace_back([&, i] {
       Result<PartyMesh> mesh = PartyMesh::EstablishWithListener(
-          std::move(listeners[i]), endpoints, i);
+          std::move(listeners[i]), endpoints, i, options);
       if (mesh.ok()) meshes[i].emplace(std::move(*mesh));
     });
   }
@@ -195,6 +201,119 @@ TEST(PartyMeshTest, ReestablishLinkBoundedAndRejectsBadPeers) {
       << healed.ToString();
   EXPECT_FALSE(healed.message().empty());
   EXPECT_EQ(meshes[2]->link(1), nullptr);
+}
+
+using Clock = std::chrono::steady_clock;
+
+/// Handshake budget of the bounded-handshake cases, and the slack their
+/// wall time may exceed it by.
+constexpr auto kHandshakeBudget = std::chrono::milliseconds(500);
+constexpr auto kSlack = std::chrono::seconds(3);
+
+struct TimedStatus {
+  Status status = Status::Internal("never ran");
+  Clock::duration elapsed{};
+};
+
+/// Runs each party on its own thread. Whatever is still running after
+/// budget + slack is unblocked by `unblock` (closing the silent socket or
+/// listener it waits on), so a wait that ignores its budget fails the
+/// elapsed-time assertions instead of hanging the suite.
+std::vector<TimedStatus> RunBounded(
+    const std::vector<std::function<Status()>>& parties,
+    const std::function<void()>& unblock) {
+  std::vector<TimedStatus> results(parties.size());
+  std::atomic<size_t> finished{0};
+  const Clock::time_point start = Clock::now();
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < parties.size(); ++i) {
+    threads.emplace_back([&, i] {
+      results[i].status = parties[i]();
+      results[i].elapsed = Clock::now() - start;
+      finished.fetch_add(1);
+    });
+  }
+  while (finished.load() < parties.size() &&
+         Clock::now() - start < kHandshakeBudget + kSlack) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  unblock();
+  for (std::thread& t : threads) t.join();
+  return results;
+}
+
+TEST(PartyMeshTest, SilentClientFailsTheAcceptWithinItsBudget) {
+  PartyMeshOptions options;
+  options.accept_timeout_ms = static_cast<int>(kHandshakeBudget.count());
+  Result<SocketListener> bound = SocketListener::Bind(0, 2);
+  ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+  std::vector<MeshEndpoint> endpoints(2);
+  endpoints[1].port = bound->port();
+  std::optional<SocketListener> listener(std::move(*bound));
+  // A raw client connects first and never sends a hello, so party 1
+  // accepts it ahead of party 0.
+  Result<std::unique_ptr<SocketChannel>> stray =
+      SocketChannel::Connect(endpoints[1].host, endpoints[1].port, 1000);
+  ASSERT_TRUE(stray.ok()) << stray.status().ToString();
+
+  std::vector<TimedStatus> out = RunBounded(
+      {[&] {
+         return PartyMesh::EstablishWithListener(std::nullopt, endpoints, 0,
+                                                 options)
+             .status();
+       },
+       [&] {
+         return PartyMesh::EstablishWithListener(std::move(listener),
+                                                 endpoints, 1, options)
+             .status();
+       }},
+      [&] { (*stray)->Close(); });
+  EXPECT_EQ(out[1].status.code(), StatusCode::kDeadlineExceeded)
+      << out[1].status.ToString();
+  EXPECT_FALSE(out[0].status.ok());
+  for (size_t i = 0; i < out.size(); ++i) {
+    EXPECT_LT(out[i].elapsed, kHandshakeBudget + kSlack)
+        << "party " << i << " waited past its accept budget";
+  }
+}
+
+TEST(PartyMeshTest, SilentListenerFailsTheDialWithinItsBudget) {
+  PartyMeshOptions options;
+  options.accept_timeout_ms = static_cast<int>(kHandshakeBudget.count());
+  // Party 1 never runs: its bound listener queues party 0's connection in
+  // the kernel backlog and never accepts it, so no ack ever comes.
+  Result<SocketListener> bound = SocketListener::Bind(0, 2);
+  ASSERT_TRUE(bound.ok()) << bound.status().ToString();
+  std::vector<MeshEndpoint> endpoints(2);
+  endpoints[1].port = bound->port();
+
+  std::vector<TimedStatus> out = RunBounded(
+      {[&] {
+        return PartyMesh::EstablishWithListener(std::nullopt, endpoints, 0,
+                                                options)
+            .status();
+      }},
+      [&] { bound->Close(); });
+  EXPECT_EQ(out[0].status.code(), StatusCode::kDeadlineExceeded)
+      << out[0].status.ToString();
+  EXPECT_LT(out[0].elapsed, kHandshakeBudget + kSlack)
+      << "party 0 waited past its ack budget";
+}
+
+TEST(PartyMeshTest, ReestablishLinkDefaultsToTheMeshBudget) {
+  // With no explicit timeout a heal takes this side's budget from the
+  // options the mesh was established with: party 2 re-accepts party 1, so
+  // it waits accept_timeout_ms.
+  PartyMeshOptions options;
+  options.accept_timeout_ms = 300;
+  auto meshes = EstablishLoopbackMesh(3, options);
+  for (size_t i = 0; i < 3; ++i) ASSERT_TRUE(meshes[i].has_value());
+  EXPECT_EQ(meshes[2]->options().accept_timeout_ms, 300);
+  Status healed = meshes[2]->ReestablishLink(1);
+  EXPECT_EQ(healed.code(), StatusCode::kDeadlineExceeded)
+      << healed.ToString();
+  EXPECT_NE(healed.message().find("gave up after 300ms"), std::string::npos)
+      << healed.ToString();
 }
 
 TEST(PartyMeshTest, RejectsBadArguments) {

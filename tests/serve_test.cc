@@ -159,12 +159,13 @@ TEST(PartyServerTest, JobsOverTcpMatchExecuteLocalByteForByte) {
   // Session reuse: both jobs completed on the one Start-time key exchange.
   EXPECT_EQ(servers[0]->jobs_completed(), uint64_t{kJobRuns});
 
-  // Clean runs never retry, and the outcome carries a per-link health
-  // snapshot with real traffic on every peer link and no failure marks.
+  // Clean runs never retry, and the server's per-link health snapshot
+  // shows real traffic on every peer link and no failure marks.
   EXPECT_EQ(servers[0]->job_retries(), 0u);
-  ASSERT_EQ(submitted[0].link_health.size(), kParties);
+  const std::vector<LinkHealth> link_health = servers[0]->link_health();
+  ASSERT_EQ(link_health.size(), kParties);
   for (size_t j = 1; j < kParties; ++j) {
-    const LinkHealth& health = submitted[0].link_health[j];
+    const LinkHealth& health = link_health[j];
     EXPECT_EQ(health.peer, j);
     EXPECT_GT(health.frames_sent, 0u) << "peer " << j;
     EXPECT_GT(health.frames_received, 0u) << "peer " << j;
